@@ -8,6 +8,7 @@ is runnable both ways.  Every random quantity is derived from fixed seeds.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import warnings
@@ -37,7 +38,7 @@ from .intlat import (
     norm_sq,
     vec_sub,
 )
-from .qcirc import basis_state, simulate_sysnf_qft
+from .qcirc import dense_deviation
 from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
 from .sysnf import (
     ModVector,
@@ -122,17 +123,7 @@ def criterion_1_unitarity() -> CriterionResult:
 
 def criterion_2_circuit_equivalence() -> CriterionResult:
     def run():
-        worst = 0.0
-        for s in _validated_instances():
-            cm = dft_matrix(s)
-            probe = basis_state(s.N, s.n, (0,) * s.n)
-            for j, x in enumerate(cm.points):
-                psi = basis_state(s.N, s.n, x.coords)
-                out = simulate_sysnf_qft(s, psi)
-                expected = np.zeros(s.N**s.n, dtype=complex)
-                for i, p in enumerate(cm.points):
-                    expected[probe.index_of(p.coords)] = cm.matrix[i, j]
-                worst = max(worst, float(np.abs(out.amps - expected).max()))
+        worst = max(dense_deviation(s, dft_matrix(s).matrix) for s in _validated_instances())
         return worst <= 1e-10, f"max circuit/matrix amplitude deviation = {worst:.2e}"
 
     res = _timed(2, "circuit equals dense transform", run)
@@ -168,13 +159,8 @@ def criterion_4_cardinalities() -> CriterionResult:
                 return False, f"enumerate_ln count wrong at N={s.N}"
             count = 0
             dual_count = 0
-            for flat in range(s.N**s.n):
-                coords = []
-                rem = flat
-                for _ in range(s.n):
-                    coords.append(rem % s.N)
-                    rem //= s.N
-                x = ModVector(s.N, tuple(reversed(coords)))
+            for coords in itertools.product(range(s.N), repeat=s.n):
+                x = ModVector(s.N, coords)
                 count += ln_membership(s, x)
                 dual_count += scaled_dual_membership(s, x)
             if count != want:
@@ -198,13 +184,8 @@ def criterion_5_phi3_bijection() -> CriterionResult:
         for s in cases:
             lattice = enumerate_ln(s)
             images = set()
-            for flat in range(s.N**s.n):
-                coords = []
-                rem = flat
-                for _ in range(s.n):
-                    coords.append(rem % s.N)
-                    rem //= s.N
-                x = ModVector(s.N, tuple(reversed(coords)))
+            for coords in itertools.product(range(s.N), repeat=s.n):
+                x = ModVector(s.N, coords)
                 y = phi3(s, x)
                 if not ln_membership(s, x + y):
                     return False, f"x + phi3(x) escapes L_N at N={s.N}, x={x.coords}"

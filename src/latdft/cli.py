@@ -103,28 +103,21 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _load_basis_or_fail(args):
-    from .errors import ConditionError, StructureError
+def _load_transform(args):
+    """(basis, dense DFT, output directory) for a SysNF input file, or an exit code."""
+    from .dft import dft_matrix
+    from .errors import ConditionError, SizeGuardError, StructureError
     from .sysnf import validate
 
-    m = _read_matrix(args.input)
     try:
-        return validate(m), None
-    except (StructureError, ConditionError) as exc:
-        return None, exc
-
-
-def cmd_dft(args) -> int:
-    from .dft import dft_matrix, export_character_matrix_csv
-    from .errors import SizeGuardError
-
-    try:
-        basis, err = _load_basis_or_fail(args)
+        m = _read_matrix(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if basis is None:
-        print(f"INVALID SysNF input: {err}")
+    try:
+        basis = validate(m)
+    except (StructureError, ConditionError) as exc:
+        print(f"INVALID SysNF input: {exc}")
         return 2
     try:
         cm = dft_matrix(basis, size_guard=args.size_guard)
@@ -133,9 +126,19 @@ def cmd_dft(args) -> int:
         return 1
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    export_character_matrix_csv(cm, outdir / "dft_matrix.csv", outdir / "dft_header.json")
+    return basis, cm, outdir
+
+
+def cmd_dft(args) -> int:
     import numpy as np
 
+    from .dft import export_character_matrix_csv
+
+    loaded = _load_transform(args)
+    if isinstance(loaded, int):
+        return loaded
+    basis, cm, outdir = loaded
+    export_character_matrix_csv(cm, outdir / "dft_matrix.csv", outdir / "dft_header.json")
     dev = float(np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max())
     print(f"order = {cm.order}")
     print(f"unitarity deviation = {dev:.3e}")
@@ -144,45 +147,21 @@ def cmd_dft(args) -> int:
 
 
 def cmd_qft_sim(args) -> int:
-    import numpy as np
-
-    from .dft import dft_matrix
-    from .errors import SizeGuardError
     from .qcirc import (
         basis_state,
+        dense_deviation,
         qft_mod_n,
         save_snapshot,
-        simulate_sysnf_qft,
         step_apply_basis,
         step_shear,
         step_uncompute_first,
     )
 
-    try:
-        basis, err = _load_basis_or_fail(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if basis is None:
-        print(f"INVALID SysNF input: {err}")
-        return 2
-    try:
-        cm = dft_matrix(basis, size_guard=args.size_guard)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    probe = basis_state(basis.N, basis.n, (0,) * basis.n)
-    worst = 0.0
-    for j, x in enumerate(cm.points):
-        psi = basis_state(basis.N, basis.n, x.coords)
-        out = simulate_sysnf_qft(basis, psi)
-        expected = np.zeros(basis.N**basis.n, dtype=complex)
-        for i, p in enumerate(cm.points):
-            expected[probe.index_of(p.coords)] = cm.matrix[i, j]
-        worst = max(worst, float(np.abs(out.amps - expected).max()))
+    loaded = _load_transform(args)
+    if isinstance(loaded, int):
+        return loaded
+    basis, cm, outdir = loaded
+    worst = dense_deviation(basis, cm.matrix)
 
     if args.dump_state:
         coords = tuple(int(t) for t in args.dump_state.split(","))
@@ -226,18 +205,17 @@ def cmd_sample(args) -> int:
         epsilon = Fraction(str(config["epsilon"]))
         shots = int(config["shots"])
         seed = int(config["seed"])
-    except (OSError, ValueError, KeyError) as exc:
+        if spec_cfg.get("kind") != "gaussian":
+            raise ValueError(f"unsupported spec kind {spec_cfg.get('kind')!r}")
+        s_target = float(spec_cfg["s"])
+        s_f = 1.0 / (2.0 * s_target)
+        grid_radius = float(spec_cfg.get("grid_radius", 6.0 * s_f))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
-    if spec_cfg.get("kind") != "gaussian":
-        print(f"error: unsupported spec kind {spec_cfg.get('kind')!r}", file=sys.stderr)
-        return 1
-    s_target = float(spec_cfg["s"])
-    s_f = 1.0 / (2.0 * s_target)
-    grid_radius = float(spec_cfg.get("grid_radius", 6.0 * s_f))
-    spec = gaussian_spec(s_f, grid_radius=grid_radius)
 
     try:
+        spec = gaussian_spec(s_f, grid_radius=grid_radius)
         result = sample(spec, m, epsilon, shots=shots, seed=seed)
         target = brute_force_target(
             lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),

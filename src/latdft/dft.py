@@ -2,8 +2,8 @@
 
 Entries are complex double precision, but the phase integer <x, z> mod N is
 always computed exactly over the integers; floating point enters only in the
-final twiddle e^(-2 pi i k / N).  Index order over L_N is lexicographic in
-(x_2, ..., x_n) everywhere in the package.
+final twiddle e^(-2 pi i k / N).  Index order over L_N is the canonical one
+of :func:`latdft.sysnf.ln_points`: lexicographic in (x_2, ..., x_n).
 """
 
 from __future__ import annotations
@@ -13,24 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MembershipError, SizeGuardError, ZeroMassError
-from .sysnf import ModVector, SysNFBasis, ln_membership
+from .errors import MembershipError, ZeroMassError
+from .sysnf import ModVector, SysNFBasis, enumerate_ln, ln_membership, ln_points
 
 DEFAULT_SIZE_GUARD = 4096
-
-
-def _ln_index_arrays(s: SysNFBasis, size_guard: int) -> np.ndarray:
-    """L_N points as an (M, n) int64 array in the canonical index order."""
-    m = s.N ** (s.n - 1)
-    if m > size_guard:
-        raise SizeGuardError(f"|L_N| = {m} exceeds size guard {size_guard}")
-    if s.n == 1:
-        return np.zeros((1, 1), dtype=np.int64)
-    grids = np.indices((s.N,) * (s.n - 1), dtype=np.int64)
-    tails = grids.reshape(s.n - 1, -1).T  # lexicographic in (x_2, ..., x_n)
-    b = np.array(s.b, dtype=np.int64)
-    first = (tails @ b) % s.N
-    return np.column_stack([first, tails])
 
 
 @dataclass(frozen=True)
@@ -81,12 +67,11 @@ def character(s: SysNFBasis, x: ModVector, z: ModVector) -> complex:
 
 def dft_matrix(s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD) -> CharacterMatrix:
     """Dense lattice DFT matrix; unitary exactly when the basis is valid."""
-    pts = _ln_index_arrays(s, size_guard)
-    m = pts.shape[0]
+    points = tuple(enumerate_ln(s, size_guard))
+    pts = ln_points(s)
     phases = (pts @ pts.T) % s.N
     twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N)
-    mat = twiddles[phases] / np.sqrt(m)
-    points = tuple(ModVector(s.N, tuple(int(c) for c in row)) for row in pts)
+    mat = twiddles[phases] / np.sqrt(len(points))
     index = {p.coords: i for i, p in enumerate(points)}
     return CharacterMatrix(s, points, mat, index)
 
@@ -108,28 +93,29 @@ def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
     restricted to L_N and scaled by 1/sqrt(|L_N|)."""
     n, N = s.n, s.N
     grid = np.zeros((N,) * n, dtype=complex)
-    pts = _ln_index_arrays(s, size_guard=10**7)
+    pts = ln_points(s)
     grid[tuple(pts.T)] = f.values
     hat = np.fft.fftn(grid)
     return hat[tuple(pts.T)] / np.sqrt(pts.shape[0])
 
 
+def _permutation(cm: CharacterMatrix, image) -> np.ndarray:
+    """Permutation matrix of |x> -> |image(x)> on the L_N index."""
+    mat = np.zeros((cm.order, cm.order))
+    for j, p in enumerate(cm.points):
+        mat[cm.index_of(image(p)), j] = 1.0
+    return mat
+
+
 def shift_operator(cm: CharacterMatrix, v: ModVector) -> np.ndarray:
     """Permutation matrix of |x> -> |x + v mod N> on the L_N index."""
-    m = cm.order
-    mat = np.zeros((m, m))
-    for j, p in enumerate(cm.points):
-        mat[cm.index_of(p + v), j] = 1.0
-    return mat
+    return _permutation(cm, lambda p: p + v)
 
 
 def phase_operator(cm: CharacterMatrix, v: ModVector) -> np.ndarray:
     """Diagonal matrix of |x> -> exp(-2 pi i <v, x> / N) |x>."""
-    n_mod = cm.basis.N
-    phases = [
-        sum(a * b for a, b in zip(v.coords, p.coords)) % n_mod for p in cm.points
-    ]
-    return np.diag(np.exp(-2j * np.pi * np.array(phases) / n_mod))
+    phases = ln_points(cm.basis) @ np.array(v.coords, dtype=np.int64) % cm.basis.N
+    return np.diag(np.exp(-2j * np.pi * phases / cm.basis.N))
 
 
 def check_shift_phase(s: SysNFBasis, v: ModVector, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
@@ -147,11 +133,7 @@ def check_shift_phase(s: SysNFBasis, v: ModVector, size_guard: int = DEFAULT_SIZ
 
 
 def negation_permutation(cm: CharacterMatrix) -> np.ndarray:
-    m = cm.order
-    mat = np.zeros((m, m))
-    for j, p in enumerate(cm.points):
-        mat[cm.index_of(-p), j] = 1.0
-    return mat
+    return _permutation(cm, lambda p: -p)
 
 
 def check_fourth_power(
@@ -221,7 +203,7 @@ def smoothness_estimate(
     if fhat.shape != (s.N,) * s.n:
         raise ValueError(f"expected grid of shape {(s.N,) * s.n}")
     power = np.abs(fhat) ** 2
-    pts = _ln_index_arrays(s, size_guard=10**7)
+    pts = ln_points(s)
     base = power[tuple(pts.T)].sum()
     if base == 0:
         raise ZeroMassError("grid function has zero squared mass on the lattice")
@@ -254,7 +236,7 @@ def export_character_matrix_csv(cm: CharacterMatrix, csv_path, header_path) -> N
 
 def export_lattice_function_csv(f: LatticeFunction, path) -> None:
     """One line per point: x2,...,xn,re,im."""
-    pts = _ln_index_arrays(f.basis, size_guard=10**7)
+    pts = ln_points(f.basis)
     with open(path, "w") as fh:
         for row, z in zip(pts, f.values):
             tail = ",".join(str(int(c)) for c in row[1:])

@@ -1,20 +1,22 @@
 """Exact integer/rational lattice linear algebra.
 
 Lattices are integer spans of the *columns* of a basis matrix.  All
-arithmetic is carried out over Python integers and ``fractions.Fraction``;
-nothing in this module rounds.  Operations that need floating point
-(statevectors, DFT matrices) live elsewhere and convert at the boundary.
+arithmetic is carried out over Python integers and ``fractions.Fraction``,
+or over int64 arrays under a bound checked before they are built; nothing
+in this module rounds.  Operations that need floating point (statevectors,
+DFT matrices) live elsewhere and convert at the boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import MembershipError, RankError
+import numpy as np
+
+from .errors import MembershipError, RankError, SizeGuardError
 
 Vec = tuple[Fraction, ...]
 
@@ -176,9 +178,6 @@ class ExactMatrix:
         """Exact solution x of self @ x = v."""
         return self.inverse().mul_vec(v)
 
-    def to_float_rows(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._rows]
-
 
 # -- text format -------------------------------------------------------------
 #
@@ -335,11 +334,7 @@ def dual_basis(b: ExactMatrix) -> ExactMatrix:
 
 def membership(b: ExactMatrix, v: Sequence) -> bool:
     """True iff v lies in the column-span lattice of b."""
-    try:
-        z = b.solve(v)
-    except RankError:
-        raise
-    return all(x.denominator == 1 for x in z)
+    return all(x.denominator == 1 for x in b.solve(v))
 
 
 def coefficients_in_basis(b: ExactMatrix, v: Sequence) -> tuple[int, ...]:
@@ -413,7 +408,7 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = _round_half_even(mu[k][j])
+            q = round(mu[k][j])
             if q:
                 cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
                 for t in range(j):
@@ -426,10 +421,6 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
             ortho, mu = gso()
             k = max(k - 1, 1)
     return ExactMatrix.from_columns(cols)
-
-
-def _round_half_even(x: Fraction) -> int:
-    return round(x)
 
 
 def is_size_reduced(b: ExactMatrix) -> bool:
@@ -465,9 +456,58 @@ def nearest_plane(b: ExactMatrix, u: Sequence, gs: GramSchmidtData | None = None
     n = b.ncols
     rem = as_fraction_vec(u)
     for j in range(n - 1, -1, -1):
-        c = _round_half_even(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
+        c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
         rem = vec_sub(rem, vec_scale(b.column(j), c))
     return vec_sub(as_fraction_vec(u), rem)
+
+
+# -- coefficient boxes ------------------------------------------------------------
+
+BOX_GUARD = 2**22  # most coefficient vectors one enumeration box may hold
+_INT64_LIMIT = 2**63
+
+
+def _lex_box(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """All integer vectors with lo_i <= z_i <= hi_i as int64 rows, lexicographic."""
+    count = math.prod(max(0, hi - lo + 1) for lo, hi in bounds)
+    if count > BOX_GUARD or max(max(-lo, hi) for lo, hi in bounds) >= _INT64_LIMIT // 2:
+        raise SizeGuardError(f"coefficient box of {count} vectors exceeds guard {BOX_GUARD} or int64")
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(count, len(bounds))
+
+
+def box_points(b: ExactMatrix, center: Sequence, radius) -> np.ndarray:
+    """Coefficient vectors z covering every lattice point b @ z within radius of center.
+
+    By Cauchy-Schwarz such z satisfy |z_i - (B^-1 c)_i| <= ||row_i(B^-1)|| r,
+    so the box below is a superset of the ball; callers filter it.  Rows are
+    int64 in lexicographic order, the tie-break order of the CVP oracles.
+    Raises SizeGuardError before allocating a box larger than BOX_GUARD.
+    """
+    binv = b.inverse()
+    zc = binv.mul_vec(center)
+    radius = Fraction(radius)
+    bounds = []
+    for i in range(b.ncols):
+        slack = sqrt_upper_bound(norm_sq(binv.row(i))) * radius
+        bounds.append((math.floor(zc[i] - slack), math.ceil(zc[i] + slack)))
+    return _lex_box(bounds)
+
+
+def scaled_offsets(b: ExactMatrix, z: np.ndarray, center: Sequence) -> tuple[np.ndarray, int]:
+    """Exact offsets D (b @ z - c) as int64 rows, with D the common denominator of b and c.
+
+    Raises SizeGuardError unless every squared row norm provably fits int64.
+    """
+    c = as_fraction_vec(center)
+    den = math.lcm(*(x.denominator for x in c), *(x.denominator for r in b.rows() for x in r))
+    bd = [[int(x * den) for x in row] for row in b.rows()]
+    cd = [int(x * den) for x in c]
+    zmax = int(np.abs(z).max()) if len(z) else 0
+    reach = max(sum(abs(x) for x in row) * zmax + abs(ci) for row, ci in zip(bd, cd))
+    if len(cd) * reach * reach >= _INT64_LIMIT:
+        raise SizeGuardError(f"lattice offsets up to {reach} overflow int64 distances")
+    return z @ np.array(bd, dtype=np.int64).T - np.array(cd, dtype=np.int64), den
 
 
 # -- brute-force CVP / SVP oracles ------------------------------------------------
@@ -478,58 +518,34 @@ class CVPResult(NamedTuple):
     dist_sq: Fraction
 
 
+def _closest(b: ExactMatrix, u: Sequence, z: np.ndarray) -> CVPResult:
+    """Exact closest of the points b @ z to u; ties go to the earliest row of z."""
+    off, den = scaled_offsets(b, z, u)
+    d = (off * off).sum(axis=1)
+    k = int(np.argmin(d))
+    return CVPResult(b.mul_vec(z[k].tolist()), Fraction(int(d[k]), den * den))
+
+
 def brute_force_cvp(b: ExactMatrix, u: Sequence, coeff_bound: int) -> CVPResult:
     """Exact closest vector among all b @ z with |z_i| <= coeff_bound.
 
     Enumeration oracle for desk-scale tests; ties broken toward the
     lexicographically smallest coefficient vector.
     """
-    n = b.ncols
-    uf = as_fraction_vec(u)
-    cols = b.columns()
-    best: tuple[Fraction, tuple[int, ...], Vec] | None = None
-    for z in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        pt = tuple(
-            sum((z[j] * cols[j][i] for j in range(n)), Fraction(0)) for i in range(len(uf))
-        )
-        d = norm_sq(vec_sub(uf, pt))
-        if best is None or d < best[0] or (d == best[0] and z < best[1]):
-            best = (d, z, pt)
-    assert best is not None
-    return CVPResult(best[2], best[0])
+    return _closest(b, u, _lex_box([(-coeff_bound, coeff_bound)] * b.ncols))
 
 
 def cvp_exact(b: ExactMatrix, u: Sequence) -> CVPResult:
     """True closest vector, with the enumeration box derived so it must contain it.
 
-    Any lattice point at least as close as the Babai point has coefficients
-    within |(B^-1 u)_i| + ||row_i(B^-1)|| * ||u - v_babai||, so enumerating that
-    box is guaranteed to see the optimum.
+    Any lattice point at least as close as the Babai point lies in the
+    coefficient box of radius ||u - v_babai|| around u, so enumerating that
+    box is guaranteed to see the optimum.  Ties go to the lexicographically
+    smallest coefficient vector, as in :func:`brute_force_cvp`.
     """
     v0 = nearest_plane(b, u)
-    r_sq = norm_sq(vec_sub(as_fraction_vec(u), v0))
-    binv = b.inverse()
-    zu = binv.mul_vec(u)
-    r_ub = sqrt_upper_bound(r_sq)
-    n = b.ncols
-    ranges = []
-    for i in range(n):
-        slack = sqrt_upper_bound(norm_sq(binv.row(i))) * r_ub
-        lo = math.floor(zu[i] - slack)
-        hi = math.ceil(zu[i] + slack)
-        ranges.append(range(lo, hi + 1))
-    uf = as_fraction_vec(u)
-    cols = b.columns()
-    best: tuple[Fraction, tuple[int, ...], Vec] | None = None
-    for z in itertools.product(*ranges):
-        pt = tuple(
-            sum((z[j] * cols[j][i] for j in range(n)), Fraction(0)) for i in range(len(uf))
-        )
-        d = norm_sq(vec_sub(uf, pt))
-        if best is None or d < best[0] or (d == best[0] and z < best[1]):
-            best = (d, z, pt)
-    assert best is not None
-    return CVPResult(best[2], best[0])
+    r_ub = sqrt_upper_bound(norm_sq(vec_sub(as_fraction_vec(u), v0)))
+    return _closest(b, u, box_points(b, u, r_ub))
 
 
 def lambda1_sq(b: ExactMatrix) -> Fraction:
@@ -540,30 +556,10 @@ def lambda1_sq(b: ExactMatrix) -> Fraction:
     the box is the true lambda_1.  Rational bases are scaled to integers
     first; lengths scale uniformly.
     """
-    if b.is_integer():
-        return _lambda1_sq_integer(b)
     den = math.lcm(*[x.denominator for row in b.rows() for x in row])
-    return _lambda1_sq_integer(b.scale(den)) / (den * den)
-
-
-def _lambda1_sq_integer(b: ExactMatrix) -> Fraction:
-    red = lll_reduce(b)
-    cols = red.columns()
-    best_d = norm_sq(cols[0])
-    binv = red.inverse()
-    r_ub = sqrt_upper_bound(best_d)
-    n = red.ncols
-    ranges = []
-    for i in range(n):
-        m = math.ceil(sqrt_upper_bound(norm_sq(binv.row(i))) * r_ub)
-        ranges.append(range(-m, m + 1))
-    for z in itertools.product(*ranges):
-        if all(c == 0 for c in z):
-            continue
-        pt = tuple(
-            sum((z[j] * cols[j][i] for j in range(n)), Fraction(0)) for i in range(n)
-        )
-        d = norm_sq(pt)
-        if 0 < d < best_d:
-            best_d = d
-    return best_d
+    red = lll_reduce(b.scale(den))
+    origin = (0,) * red.ncols
+    z = box_points(red, origin, sqrt_upper_bound(norm_sq(red.column(0))))
+    pts, _ = scaled_offsets(red, z, origin)
+    d = (pts * pts).sum(axis=1)
+    return Fraction(int(d[d > 0].min()), den * den)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModulusMismatchError, UncomputeError
-from .sysnf import SysNFBasis
+from .sysnf import SysNFBasis, ln_index, ln_points
 
 SUPPORT_TOL = 1e-12
 
@@ -61,13 +61,6 @@ def _check_registers(s: SysNFBasis, psi: Statevector, n_regs: int) -> None:
         raise ModulusMismatchError(f"expected {n_regs} registers, got {psi.n}")
 
 
-def _tail_grids(N: int, k: int) -> np.ndarray:
-    """(N^k, k) int64 array of all tails in lexicographic order."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((N,) * k, dtype=np.int64).reshape(k, -1).T
-
-
 def step_shear(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Basis-state permutation x -> (x_1, x_2 + b_2 x_1, ..., x_n + b_n x_1) mod N.
 
@@ -84,13 +77,6 @@ def step_shear(s: SysNFBasis, psi: Statevector) -> Statevector:
     return Statevector(s.N, s.n, out.reshape(-1))
 
 
-def _required_first(s: SysNFBasis, tails: np.ndarray) -> np.ndarray:
-    """x_1 forced by the uncompute rule for post-shear tails y."""
-    inv = s.condition_inverse()
-    b = np.array(s.b, dtype=np.int64)
-    return (inv * (tails @ b)) % s.N
-
-
 def step_uncompute_first(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Drop the first register of a state supported on sheared lattice states.
 
@@ -101,8 +87,8 @@ def step_uncompute_first(s: SysNFBasis, psi: Statevector) -> Statevector:
     _check_registers(s, psi, s.n)
     m = s.N ** (s.n - 1)
     flat = psi.amps.reshape(s.N, m)
-    tails = _tail_grids(s.N, s.n - 1)
-    first = _required_first(s, tails)
+    # x_1 forced by the uncompute rule for post-shear tails y: (b . y) / (b . b + 1) mod N.
+    first = ln_points(s)[:, 0] * s.condition_inverse() % s.N
     gathered = flat[first, np.arange(m)]
     residue = flat.copy()
     residue[first, np.arange(m)] = 0.0
@@ -127,22 +113,16 @@ def step_apply_basis(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Prepend a register holding sum_j b_j z_j mod N; output lands on L_N."""
     _check_registers(s, psi, s.n - 1)
     m = s.N ** (s.n - 1)
-    tails = _tail_grids(s.N, s.n - 1)
-    b = np.array(s.b, dtype=np.int64)
-    first = (tails @ b) % s.N
     out = np.zeros((s.N, m), dtype=complex)
-    out[first, np.arange(m)] = psi.amps
+    out[ln_points(s)[:, 0], np.arange(m)] = psi.amps
     return Statevector(s.N, s.n, out.reshape(-1))
 
 
 def lattice_membership_mask(s: SysNFBasis) -> np.ndarray:
     """Boolean mask over the full N^n index selecting the L_N basis states."""
     m = s.N ** (s.n - 1)
-    tails = _tail_grids(s.N, s.n - 1)
-    b = np.array(s.b, dtype=np.int64)
-    first = (tails @ b) % s.N
     mask = np.zeros((s.N, m), dtype=bool)
-    mask[first, np.arange(m)] = True
+    mask[ln_points(s)[:, 0], np.arange(m)] = True
     return mask.reshape(-1)
 
 
@@ -161,6 +141,25 @@ def simulate_sysnf_qft(s: SysNFBasis, psi: Statevector) -> Statevector:
     return Statevector(s.N, s.n, state.amps + off_l)
 
 
+def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
+    """Largest amplitude gap between the circuit and a dense transform of L_N.
+
+    Every L_N basis state runs through :func:`simulate_sysnf_qft`; the output
+    is compared with the matching column of ``matrix`` (canonical order),
+    embedded in the full grid.
+    """
+    pts = ln_points(s)
+    m = len(pts)
+    on_l = pts[:, 0] * m + np.arange(m)
+    worst = 0.0
+    for j, x in enumerate(pts.tolist()):
+        out = simulate_sysnf_qft(s, basis_state(s.N, s.n, x))
+        expected = np.zeros(s.N**s.n, dtype=complex)
+        expected[on_l] = matrix[:, j]
+        worst = max(worst, float(np.abs(out.amps - expected).max()))
+    return worst
+
+
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     """Circuit action restricted to the L_N subspace, in compressed form.
 
@@ -173,15 +172,12 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
     s.condition_inverse()  # the compressed shear is a permutation only when valid
-    k = s.n - 1
-    tails = _tail_grids(s.N, k)
-    first = (tails @ np.array(s.b, dtype=np.int64)) % s.N
+    pts = ln_points(s)
     # Shear + uncompute: tail x goes to y with y_j = x_j + b_j x_1.
-    y = (tails + first[:, None] * np.array(s.b, dtype=np.int64)[None, :]) % s.N
-    strides = np.array([s.N**i for i in range(k - 1, -1, -1)], dtype=np.int64)
+    y = (pts[:, 1:] + pts[:, :1] * np.array(s.b, dtype=np.int64)[None, :]) % s.N
     sheared = np.zeros(m, dtype=complex)
-    sheared[y @ strides] = values
-    grid = np.fft.fftn(sheared.reshape((s.N,) * k)) / np.sqrt(m)
+    sheared[ln_index(s, y)] = values
+    grid = np.fft.fftn(sheared.reshape((s.N,) * (s.n - 1))) / np.sqrt(m)
     return grid.reshape(-1)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ParameterError, SizeGuardError, ZeroMassError
 from .intlat import (
     ExactMatrix,
+    box_points,
     determinant,
     dual_basis,
     gram_schmidt,
@@ -30,11 +31,10 @@ from .intlat import (
     lll_reduce,
     membership,
     nearest_plane,
-    norm_sq,
-    sqrt_upper_bound,
+    scaled_offsets,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ModVector, ReductionCertificate, SysNFBasis, reduce_to_sysnf
+from .sysnf import ModVector, ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
 
 GRID_GUARD = 5 * 10**6
 CARRYING_MASS = 1e-12
@@ -48,26 +48,20 @@ class QESSpec:
     ``amplitude`` must accept real (including rational) arguments, since the
     sampler evaluates it at scaled grid points.  ``grid_radius`` declares the
     support radius in the oracle's own argument space: squared mass outside
-    it is treated as negligible.
+    it is treated as negligible.  ``vector_amplitude``, when given, evaluates
+    a whole (points, n) array at once and must agree with ``amplitude``.
     """
 
     amplitude: Callable[[Sequence[float]], complex]
     grid_radius: float
     label: str = ""
-
-    def amplitudes(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; subclass-free hook via ``vector_amplitude``."""
-        return np.array([self.amplitude(tuple(p)) for p in points], dtype=complex)
-
-
-@dataclass(frozen=True)
-class VectorizedQESSpec(QESSpec):
     vector_amplitude: Callable[[np.ndarray], np.ndarray] | None = None
 
     def amplitudes(self, points: np.ndarray) -> np.ndarray:
+        """Amplitudes at each row of ``points``."""
         if self.vector_amplitude is not None:
             return np.asarray(self.vector_amplitude(points), dtype=complex)
-        return super().amplitudes(points)
+        return np.array([self.amplitude(tuple(p)) for p in points], dtype=complex)
 
 
 def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QESSpec:
@@ -87,7 +81,7 @@ def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QES
         r2 = np.sum(np.asarray(pts, dtype=float) ** 2, axis=1)
         return np.exp(-np.pi * r2 / (2 * s * s))
 
-    return VectorizedQESSpec(
+    return QESSpec(
         amplitude=amp,
         grid_radius=float(grid_radius),
         label=label if label is not None else f"gaussian({s})",
@@ -103,38 +97,36 @@ class BoundednessReport:
     epsilon: float
 
 
-def _integer_ball(dim: int, radius: float, guard: int = GRID_GUARD) -> np.ndarray:
+def _support_mass(spec: QESSpec, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Squared radii and |F|^2 of the integer points in the declared support, and their total."""
+    radius = spec.grid_radius
     r = int(math.floor(radius))
     side = 2 * r + 1
-    if side**dim > guard:
-        raise SizeGuardError(f"{side ** dim} grid points exceed guard {guard}")
+    if side**dim > GRID_GUARD:
+        raise SizeGuardError(f"{side ** dim} grid points exceed guard {GRID_GUARD}")
     axes = [np.arange(-r, r + 1)] * dim
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    keep = (pts.astype(float) ** 2).sum(axis=1) <= radius * radius + 1e-12
-    return pts[keep]
+    r2 = (pts.astype(float) ** 2).sum(axis=1)
+    keep = r2 <= radius * radius + 1e-12
+    mass = np.abs(spec.amplitudes(pts[keep])) ** 2
+    total = mass.sum()
+    if total == 0:
+        raise ZeroMassError("spec has zero squared mass on its declared support")
+    return r2[keep], mass, total
 
 
 def bounded_check(spec: QESSpec, s: float, dim: int = 2) -> BoundednessReport:
     """Exact mass ratio of |F|^2 inside the radius-s ball over the declared support."""
     if s <= 0:
         raise ParameterError("radius must be positive")
-    pts = _integer_ball(dim, spec.grid_radius)
-    mass = np.abs(spec.amplitudes(pts)) ** 2
-    total = mass.sum()
-    if total == 0:
-        raise ZeroMassError("spec has zero squared mass on its declared support")
-    inside = mass[(pts.astype(float) ** 2).sum(axis=1) <= s * s + 1e-12].sum()
+    r2, mass, total = _support_mass(spec, dim)
+    inside = mass[r2 <= s * s + 1e-12].sum()
     return BoundednessReport(s=s, epsilon=float(1.0 - inside / total))
 
 
 def mass_radius(spec: QESSpec, dim: int, mass_fraction: float) -> float:
     """Smallest grid radius containing the given fraction of squared mass."""
-    pts = _integer_ball(dim, spec.grid_radius)
-    r2 = (pts.astype(float) ** 2).sum(axis=1)
-    mass = np.abs(spec.amplitudes(pts)) ** 2
-    total = mass.sum()
-    if total == 0:
-        raise ZeroMassError("spec has zero squared mass on its declared support")
+    r2, mass, total = _support_mass(spec, dim)
     order = np.argsort(r2, kind="stable")
     cum = np.cumsum(mass[order])
     idx = int(np.searchsorted(cum, mass_fraction * total))
@@ -187,18 +179,11 @@ def brute_force_target(
     Enumeration oracle: the coefficient box is derived from the rows of the
     basis inverse, so every lattice point inside the ball is visited.
     """
-    n = b.ncols
-    binv = b.inverse()
-    rad = Fraction(box_radius)
-    ranges = []
-    for i in range(n):
-        bound = math.ceil(sqrt_upper_bound(norm_sq(binv.row(i))) * rad)
-        ranges.append(np.arange(-bound, bound + 1))
-    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
+    origin = (0,) * b.ncols
+    coeffs = box_points(b, origin, box_radius)
     if not b.is_integer():
         raise ParameterError("target enumeration expects an integer basis")
-    bint = np.array([[int(x) for x in row] for row in b.rows()], dtype=np.int64)
-    pts = mesh @ bint.T
+    pts, _ = scaled_offsets(b, coeffs, origin)
     keep = (pts.astype(float) ** 2).sum(axis=1) <= float(box_radius) ** 2 + 1e-12
     pts = pts[keep]
     if len(pts) == 0:
@@ -276,16 +261,8 @@ def _ceil_sqrt(n: int) -> int:
 
 def _short_dual_vectors(basis: ExactMatrix, radius: float) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors of the integer basis within the radius."""
-    n = basis.ncols
-    binv = basis.inverse()
-    rad = Fraction(radius)
-    ranges = []
-    for i in range(n):
-        bound = math.ceil(sqrt_upper_bound(norm_sq(binv.row(i))) * rad)
-        ranges.append(np.arange(-bound, bound + 1))
-    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
-    bint = np.array([[int(xx) for xx in row] for row in basis.rows()], dtype=np.int64)
-    pts = mesh @ bint.T
+    origin = (0,) * basis.ncols
+    pts, _ = scaled_offsets(basis, box_points(basis, origin, radius), origin)
     r2 = (pts.astype(float) ** 2).sum(axis=1)
     keep = (r2 <= float(radius) ** 2 + 1e-9) & (r2 > 0)
     return [tuple(int(c) for c in p) for p in pts[keep]]
@@ -384,9 +361,8 @@ def sample(
 
     mass = np.abs(amps) ** 2
     carrying = mass >= CARRYING_MASS
-    strides = np.array([big_n**i for i in range(n - 2, -1, -1)], dtype=np.int64)
-    m_order = big_n ** (n - 1)
-    acc = np.zeros(m_order, dtype=complex)
+    acc = np.zeros(big_n ** (n - 1), dtype=complex)
+    slots = ln_index(s, x[:, 1:])
     ancilla_mass = 0.0
     norm_u_sq = (u * u).sum(axis=1)
     tag_ok = np.zeros(len(u), dtype=bool)
@@ -394,7 +370,7 @@ def sample(
         decoded = nearest_plane(dual_red, tuple(int(c) for c in x[i]), gs=gs)
         tag_ok[i] = all(int(d) % big_n == int(yy) for d, yy in zip(decoded, y[i]))
         if tag_ok[i]:
-            acc[int(x[i, 1:] @ strides)] += amps[i]
+            acc[slots[i]] += amps[i]
         else:
             ancilla_mass += float(mass[i])
 
@@ -440,17 +416,10 @@ def sample(
     # heaviest point always survives.
     keep_idx = np.flatnonzero(probs >= PRUNE_MASS * total_prob / len(probs))
     kept = probs[keep_idx] / probs[keep_idx].sum()
-    points: list[tuple[int, ...]] = []
-    for idx in keep_idx:
-        tail = []
-        rem = int(idx)
-        for _ in range(n - 1):
-            tail.append(rem % big_n)
-            rem //= big_n
-        tail.reverse()
-        z = ModVector(big_n, (s.first_coordinate(tail), *tail))
-        w = cert.apply_sigma_inverse(z.centered())
-        points.append(w)
+    points = [
+        cert.apply_sigma_inverse(ModVector(big_n, tuple(z)).centered())
+        for z in ln_points(s)[keep_idx].tolist()
+    ]
     order = sorted(range(len(points)), key=lambda i: points[i])
     dist = DiscreteDistribution(tuple(points[i] for i in order), kept[order])
     for w in dist.points:

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     ConditionError,
     ModulusMismatchError,
@@ -173,20 +175,34 @@ def ln_membership(s: SysNFBasis, x: ModVector) -> bool:
     return x.coords[0] == s.first_coordinate(x.coords[1:])
 
 
+def ln_points(s: SysNFBasis) -> np.ndarray:
+    """All N^(n-1) points of L_N as an (N^(n-1), n) int64 array in canonical order.
+
+    The one definition of the L_N index order used across the package: tails
+    (x_2, ..., x_n) in lexicographic order, each with x_1 = b . tail mod N.
+    """
+    k = s.n - 1
+    # Coordinate-major storage: each column is contiguous, and the sparse
+    # index grids broadcast straight into it without a full-size temporary.
+    cols = np.empty((s.n,) + (s.N,) * k, dtype=np.int64)
+    for i, axis in enumerate(np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
+        cols[1 + i] = axis
+    cols = cols.reshape(s.n, s.N**k)
+    cols[0] = np.array(s.b, dtype=np.int64) @ cols[1:] % s.N
+    return cols.T
+
+
+def ln_index(s: SysNFBasis, tails: np.ndarray) -> np.ndarray:
+    """Canonical L_N index of each row of tails (x_2, ..., x_n); inverse of ln_points."""
+    return tails @ np.array([s.N**i for i in range(s.n - 2, -1, -1)], dtype=np.int64)
+
+
 def enumerate_ln(s: SysNFBasis, size_guard: int = 10**6) -> list[ModVector]:
-    """All N^(n-1) points of L_N, ordered lexicographically by (x_2, ..., x_n)."""
+    """All N^(n-1) points of L_N as ModVectors, in the order of :func:`ln_points`."""
     count = s.N ** (s.n - 1)
     if count > size_guard:
         raise SizeGuardError(f"|L_N| = {count} exceeds size guard {size_guard}")
-    points = []
-    tail = [0] * (s.n - 1)
-    for idx in range(count):
-        t = idx
-        for pos in range(s.n - 2, -1, -1):
-            tail[pos] = t % s.N
-            t //= s.N
-        points.append(ModVector(s.N, (s.first_coordinate(tail), *tail)))
-    return points
+    return [ModVector(s.N, tuple(p)) for p in ln_points(s).tolist()]
 
 
 def enumerate_scaled_dual(s: SysNFBasis) -> list[ModVector]:

@@ -136,10 +136,34 @@ class TestSample:
         r2 = json.loads((out2 / "sample_report.json").read_text())
         assert r1 == r2
 
-    def test_bad_config_exit_one(self, files):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param({}, id="empty"),
+            pytest.param({"spec": {"kind": "gaussian"}}, id="spec-without-s"),
+            pytest.param({"spec": "gaussian"}, id="spec-not-object"),
+            pytest.param({"spec": {"kind": "gaussian", "s": "wide"}}, id="s-not-number"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 0}}, id="s-zero"),
+            pytest.param({"spec": {"kind": "gaussian", "s": -2.0}}, id="s-negative"),
+            pytest.param({"spec": {"kind": "uniform", "s": 16.0}}, id="kind-unsupported"),
+            pytest.param([1, 2], id="config-list"),
+            pytest.param(7, id="config-number"),
+            pytest.param("config", id="config-string"),
+        ],
+    )
+    def test_bad_config_exit_one(self, files, capsys, config):
+        if isinstance(config, dict) and "spec" in config:  # bad spec, other fields valid
+            config = {
+                "basis": str(files / "reducible.txt"),
+                "epsilon": "1/16",
+                "shots": 10,
+                "seed": 1,
+                **config,
+            }
         cfg = files / "bad_cfg.json"
-        cfg.write_text("{}")
+        cfg.write_text(json.dumps(config))
         assert main(["sample", "--config", str(cfg)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_error_exit_one():

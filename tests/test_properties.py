@@ -1,0 +1,145 @@
+"""Property tests of the shared enumeration core and the canonical L_N order.
+
+Derandomized, so every run draws the same examples.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from latdft import intlat
+from latdft.errors import SizeGuardError
+from latdft.intlat import (
+    ExactMatrix,
+    box_points,
+    brute_force_cvp,
+    cvp_exact,
+    determinant,
+    lll_reduce,
+    norm_sq,
+    scaled_offsets,
+    sqrt_upper_bound,
+    vec_sub,
+)
+from latdft.sysnf import ModVector, SysNFBasis, ln_index, ln_membership, ln_points
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=30)
+
+coords = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@st.composite
+def basis_and_centre(draw):
+    n = draw(st.integers(2, 3))
+    entry = st.integers(-5, 5)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = ExactMatrix(rows)
+    assume(determinant(b) != 0)
+    return b, tuple(draw(st.lists(coords, min_size=n, max_size=n)))
+
+
+def _padded_ball(b: ExactMatrix, centre, radius: Fraction) -> dict:
+    """Exact squared distance of every lattice point within radius of centre, by coefficients.
+
+    The coefficient box comes from a float inverse, padded by 2 on each side;
+    distances are exact Fractions.
+    """
+    binv = np.linalg.inv(np.array([[float(x) for x in row] for row in b.rows()]))
+    zc = binv @ np.array([float(c) for c in centre])
+    half = np.linalg.norm(binv, axis=1) * float(radius) + 2
+    axes = [range(math.floor(c - h), math.ceil(c + h) + 1) for c, h in zip(zc, half)]
+    inside = {}
+    for z in itertools.product(*axes):
+        d = norm_sq(vec_sub(b.mul_vec(z), centre))
+        if d <= radius * radius:
+            inside[z] = d
+    return inside
+
+
+@PROPS
+@given(basis_and_centre(), st.fractions(min_value=0, max_value=4, max_denominator=4))
+def test_box_points_covers_ball(bc, radius):
+    b, centre = bc
+    box = box_points(b, centre, radius)
+    assert box.dtype == np.int64
+    rows = [tuple(z) for z in box.tolist()]
+    assert rows == sorted(rows)
+    assert set(_padded_ball(b, centre, radius)) <= set(rows)
+
+
+@PROPS
+@given(basis_and_centre())
+def test_cvp_exact_matches_brute_force(bc):
+    b, u = bc
+    red = lll_reduce(b)
+    # 0 is a lattice point, so the closest vector v has ||v|| <= 2 ||u||.
+    binv = np.linalg.inv(np.array([[float(x) for x in row] for row in red.rows()]))
+    u_norm = math.sqrt(sum(float(c) ** 2 for c in u))
+    bound = math.ceil(2 * u_norm * np.linalg.norm(binv, axis=1).max()) + 1
+    assume(bound <= 12)
+    best = cvp_exact(red, u)
+    assert best == brute_force_cvp(red, u, bound)
+    # Independent check in Fractions: nothing closer, ties to the smallest coefficients.
+    ball = _padded_ball(red, u, sqrt_upper_bound(best.dist_sq))
+    assert min(ball.values()) == best.dist_sq
+    z_best = min(z for z, d in ball.items() if d == best.dist_sq)
+    assert best.point == red.mul_vec(z_best)
+
+
+@PROPS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 12 if n <= 3 else 6),
+            st.lists(st.integers(-20, 20), min_size=n - 1, max_size=n - 1),
+        )
+    )
+)
+def test_ln_points_order_membership_and_index(params):
+    big_n, b = params
+    s = SysNFBasis(big_n, tuple(b))
+    pts = ln_points(s)
+    assert pts.shape == (big_n ** (s.n - 1), s.n) and pts.dtype == np.int64
+    tails = [tuple(t) for t in pts[:, 1:].tolist()]
+    assert tails == list(itertools.product(range(big_n), repeat=s.n - 1))
+    assert all(ln_membership(s, ModVector(big_n, tuple(p))) for p in pts.tolist())
+    assert np.array_equal(ln_index(s, pts[:, 1:]), np.arange(len(pts)))
+
+
+@PROPS
+@given(basis_and_centre(), st.integers(1, 60))
+def test_box_guard_raises_before_allocating(bc, guard):
+    b, centre = bc
+    radius = Fraction(3)
+    count = len(box_points(b, centre, radius))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlat, "BOX_GUARD", guard)
+        if count > guard:
+            with pytest.raises(SizeGuardError):
+                box_points(b, centre, radius)
+        else:
+            assert len(box_points(b, centre, radius)) == count
+
+
+def test_box_guard_stops_oracles(monkeypatch):
+    monkeypatch.setattr(intlat, "BOX_GUARD", 8)
+    b = ExactMatrix([[3, 1], [1, 2]])
+    with pytest.raises(SizeGuardError):
+        brute_force_cvp(b, (Fraction(1, 2), 0), 2)
+    with pytest.raises(SizeGuardError):
+        intlat.lambda1_sq(ExactMatrix([[1, 0], [0, 5]]))
+
+
+def test_int64_guards():
+    huge = 2**40
+    b = ExactMatrix([[huge, 0], [0, huge]])
+    z = box_points(b, (0, 0), 2 * huge)
+    with pytest.raises(SizeGuardError):
+        scaled_offsets(b, z, (0, 0))
+    with pytest.raises(SizeGuardError):
+        box_points(ExactMatrix.identity(2), (10**30, 0), 1)
