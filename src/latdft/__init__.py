@@ -56,10 +56,8 @@ from .qcirc import (
     step_uncompute_first,
 )
 from .sampler import (
-    BoundednessReport,
     DiscreteDistribution,
     QESSpec,
-    bounded_check,
     brute_force_target,
     gaussian_spec,
     pac_distance,

@@ -147,6 +147,7 @@ def cmd_dft(args) -> int:
 
 
 def cmd_qft_sim(args) -> int:
+    from .errors import LatdftError
     from .qcirc import (
         basis_state,
         dense_deviation,
@@ -156,15 +157,20 @@ def cmd_qft_sim(args) -> int:
         step_shear,
         step_uncompute_first,
     )
+    from .sysnf import ModVector, ln_membership
 
     loaded = _load_transform(args)
     if isinstance(loaded, int):
         return loaded
     basis, cm, outdir = loaded
-    worst = dense_deviation(basis, cm.matrix)
-
     if args.dump_state:
-        coords = tuple(int(t) for t in args.dump_state.split(","))
+        try:
+            coords = tuple(int(t) for t in args.dump_state.split(","))
+            if not ln_membership(basis, ModVector(basis.N, coords)):
+                raise ValueError(f"{coords} is not a point of L_N")
+        except (ValueError, LatdftError) as exc:
+            print(f"error: bad --dump-state: {exc}", file=sys.stderr)
+            return 1
         psi = basis_state(basis.N, basis.n, coords)
         save_snapshot(psi, outdir / "step0_input")
         psi = step_shear(basis, psi)
@@ -177,6 +183,7 @@ def cmd_qft_sim(args) -> int:
         psi = step_apply_basis(basis, psi)
         save_snapshot(psi, outdir / "step4_output")
 
+    worst = dense_deviation(basis, cm.matrix)
     report = {
         "N": basis.N,
         "n": basis.n,

@@ -461,17 +461,17 @@ def nearest_plane(b: ExactMatrix, u: Sequence, gs: GramSchmidtData | None = None
     return vec_sub(as_fraction_vec(u), rem)
 
 
-# -- coefficient boxes ------------------------------------------------------------
+# -- integer boxes ---------------------------------------------------------------
 
-BOX_GUARD = 2**22  # most coefficient vectors one enumeration box may hold
+BOX_GUARD = 5 * 10**6  # most vectors one integer box (or the sampler's L_N) may hold
 _INT64_LIMIT = 2**63
 
 
-def _lex_box(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
+def lex_box(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
     """All integer vectors with lo_i <= z_i <= hi_i as int64 rows, lexicographic."""
     count = math.prod(max(0, hi - lo + 1) for lo, hi in bounds)
     if count > BOX_GUARD or max(max(-lo, hi) for lo, hi in bounds) >= _INT64_LIMIT // 2:
-        raise SizeGuardError(f"coefficient box of {count} vectors exceeds guard {BOX_GUARD} or int64")
+        raise SizeGuardError(f"box of {count} integer vectors exceeds guard {BOX_GUARD} or int64")
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(count, len(bounds))
 
@@ -491,7 +491,7 @@ def box_points(b: ExactMatrix, center: Sequence, radius) -> np.ndarray:
     for i in range(b.ncols):
         slack = sqrt_upper_bound(norm_sq(binv.row(i))) * radius
         bounds.append((math.floor(zc[i] - slack), math.ceil(zc[i] + slack)))
-    return _lex_box(bounds)
+    return lex_box(bounds)
 
 
 def scaled_offsets(b: ExactMatrix, z: np.ndarray, center: Sequence) -> tuple[np.ndarray, int]:
@@ -532,7 +532,7 @@ def brute_force_cvp(b: ExactMatrix, u: Sequence, coeff_bound: int) -> CVPResult:
     Enumeration oracle for desk-scale tests; ties broken toward the
     lexicographically smallest coefficient vector.
     """
-    return _closest(b, u, _lex_box([(-coeff_bound, coeff_bound)] * b.ncols))
+    return _closest(b, u, lex_box([(-coeff_bound, coeff_bound)] * b.ncols))
 
 
 def cvp_exact(b: ExactMatrix, u: Sequence) -> CVPResult:

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import intlat
 from .errors import ParameterError, SizeGuardError, ZeroMassError
 from .intlat import (
     ExactMatrix,
@@ -28,6 +29,7 @@ from .intlat import (
     dual_basis,
     gram_schmidt,
     lambda1_sq,
+    lex_box,
     lll_reduce,
     membership,
     nearest_plane,
@@ -36,7 +38,6 @@ from .intlat import (
 from .qcirc import lattice_qft_values
 from .sysnf import ModVector, ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
 
-GRID_GUARD = 5 * 10**6
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
 
@@ -45,23 +46,15 @@ PRUNE_MASS = 1e-13
 class QESSpec:
     """Amplitude oracle for a state preparable on the integer grid.
 
-    ``amplitude`` must accept real (including rational) arguments, since the
-    sampler evaluates it at scaled grid points.  ``grid_radius`` declares the
-    support radius in the oracle's own argument space: squared mass outside
-    it is treated as negligible.  ``vector_amplitude``, when given, evaluates
-    a whole (points, n) array at once and must agree with ``amplitude``.
+    ``amplitude`` maps a (points, n) float array of oracle arguments to one
+    amplitude per row; the sampler evaluates it once, on its scaled grid.
+    ``grid_radius`` declares the support radius in the oracle's own argument
+    space: squared mass outside it is treated as negligible.
     """
 
-    amplitude: Callable[[Sequence[float]], complex]
+    amplitude: Callable[[np.ndarray], np.ndarray]
     grid_radius: float
     label: str = ""
-    vector_amplitude: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def amplitudes(self, points: np.ndarray) -> np.ndarray:
-        """Amplitudes at each row of ``points``."""
-        if self.vector_amplitude is not None:
-            return np.asarray(self.vector_amplitude(points), dtype=complex)
-        return np.array([self.amplitude(tuple(p)) for p in points], dtype=complex)
 
 
 def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QESSpec:
@@ -73,11 +66,7 @@ def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QES
     if s <= 0:
         raise ParameterError("gaussian width must be positive")
 
-    def amp(x):
-        r2 = sum(float(c) ** 2 for c in x)
-        return math.exp(-math.pi * r2 / (2 * s * s))
-
-    def vec_amp(pts):
+    def amp(pts):
         r2 = np.sum(np.asarray(pts, dtype=float) ** 2, axis=1)
         return np.exp(-np.pi * r2 / (2 * s * s))
 
@@ -85,53 +74,7 @@ def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QES
         amplitude=amp,
         grid_radius=float(grid_radius),
         label=label if label is not None else f"gaussian({s})",
-        vector_amplitude=vec_amp,
     )
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Fraction of squared mass outside the ball of radius s."""
-
-    s: float
-    epsilon: float
-
-
-def _support_mass(spec: QESSpec, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Squared radii and |F|^2 of the integer points in the declared support, and their total."""
-    radius = spec.grid_radius
-    r = int(math.floor(radius))
-    side = 2 * r + 1
-    if side**dim > GRID_GUARD:
-        raise SizeGuardError(f"{side ** dim} grid points exceed guard {GRID_GUARD}")
-    axes = [np.arange(-r, r + 1)] * dim
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    r2 = (pts.astype(float) ** 2).sum(axis=1)
-    keep = r2 <= radius * radius + 1e-12
-    mass = np.abs(spec.amplitudes(pts[keep])) ** 2
-    total = mass.sum()
-    if total == 0:
-        raise ZeroMassError("spec has zero squared mass on its declared support")
-    return r2[keep], mass, total
-
-
-def bounded_check(spec: QESSpec, s: float, dim: int = 2) -> BoundednessReport:
-    """Exact mass ratio of |F|^2 inside the radius-s ball over the declared support."""
-    if s <= 0:
-        raise ParameterError("radius must be positive")
-    r2, mass, total = _support_mass(spec, dim)
-    inside = mass[r2 <= s * s + 1e-12].sum()
-    return BoundednessReport(s=s, epsilon=float(1.0 - inside / total))
-
-
-def mass_radius(spec: QESSpec, dim: int, mass_fraction: float) -> float:
-    """Smallest grid radius containing the given fraction of squared mass."""
-    r2, mass, total = _support_mass(spec, dim)
-    order = np.argsort(r2, kind="stable")
-    cum = np.cumsum(mass[order])
-    idx = int(np.searchsorted(cum, mass_fraction * total))
-    idx = min(idx, len(order) - 1)
-    return float(math.sqrt(r2[order[idx]]))
 
 
 @dataclass(frozen=True)
@@ -152,20 +95,12 @@ class DiscreteDistribution:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
 
     @classmethod
-    def from_weights(
-        cls, points: Sequence[tuple[int, ...]], weights: np.ndarray, prune_mass: float = 0.0
-    ) -> "DiscreteDistribution":
+    def from_weights(cls, points: Sequence[tuple[int, ...]], weights: np.ndarray) -> "DiscreteDistribution":
         weights = np.asarray(weights, dtype=float)
         total = weights.sum()
         if total <= 0:
             raise ZeroMassError("empty or zero-mass support")
-        probs = weights / total
-        if prune_mass > 0 and len(probs):
-            keep = probs >= prune_mass / len(probs)
-            points = [p for p, k in zip(points, keep) if k]
-            probs = probs[keep]
-            probs = probs / probs.sum()
-        return cls(tuple(points), probs)
+        return cls(tuple(points), weights / total)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {p: float(q) for p, q in zip(self.points, self.probs)}
@@ -268,15 +203,7 @@ def _short_dual_vectors(basis: ExactMatrix, radius: float) -> list[tuple[int, ..
     return [tuple(int(c) for c in p) for p in pts[keep]]
 
 
-def sample(
-    spec: QESSpec,
-    b: ExactMatrix,
-    epsilon,
-    shots: int,
-    seed: int,
-    mismatch_warn_threshold: float = 0.0,
-    grid_guard: int = GRID_GUARD,
-) -> SampleResult:
+def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> SampleResult:
     """Run the sampling algorithm with exact amplitude bookkeeping.
 
     ``spec`` is the transform-side amplitude oracle of the target density
@@ -289,6 +216,8 @@ def sample(
         raise ParameterError("epsilon must lie strictly between 0 and 1")
     if shots < 0:
         raise ParameterError("shots must be non-negative")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     n = b.ncols
 
     # Step 1: nearby SysNF lattice with accuracy epsilon / (sqrt(n) det(B)),
@@ -302,40 +231,44 @@ def sample(
     # Modular dot products below must stay inside int64.
     if (n - 1) * s.N * s.N >= 2**62:
         raise SizeGuardError("reduced modulus too large for vectorized index arithmetic")
-
-    # Hypothesis check (warning only): the oracle's mass radius against
-    # lambda_1 of the dual, scaled by 2^(n/2 + 2).
-    boundedness_ok = True
-    try:
-        t_mass = mass_radius(spec, n, 1.0 - 2.0**-n)
-        lam_dual_sq = lambda1_sq(dual_basis(b))
-        if Fraction(t_mass) ** 2 * 2 ** (n + 4) > lam_dual_sq:
-            boundedness_ok = False
-            warnings.warn(
-                f"mass radius {t_mass:.4g} exceeds lambda1(dual)/2^(n/2+2); "
-                "decoding guarantees may fail",
-                stacklevel=2,
-            )
-    except SizeGuardError:
-        boundedness_ok = False
+    ln_size = big_n ** (n - 1)
+    if ln_size > intlat.BOX_GUARD:
+        raise SizeGuardError(f"|L_N| = N^(n-1) = {ln_size} points exceed guard {intlat.BOX_GUARD}")
 
     # Step 2: amplitudes F(T x / N) on the centered residue grid, truncated to
     # the declared support radius.
     r_grid = spec.grid_radius * big_n / t_scale
     lo_cap, hi_cap = -((big_n - 1) // 2), big_n // 2
     r_int = min(int(math.floor(r_grid)), max(-lo_cap, hi_cap))
-    axes = [np.arange(max(-r_int, lo_cap), min(r_int, hi_cap) + 1, dtype=np.int64)] * n
-    total_pts = math.prod(len(a) for a in axes)
-    if total_pts > grid_guard:
-        raise SizeGuardError(f"{total_pts} grid points exceed guard {grid_guard}")
-    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    keep = (u.astype(float) ** 2).sum(axis=1) <= r_grid * r_grid + 1e-12
-    u = u[keep]
-    amps = spec.amplitudes(u.astype(float) * (t_scale / big_n))
+    u = lex_box([(max(-r_int, lo_cap), min(r_int, hi_cap))] * n)
+    norm_u_sq = (u * u).sum(axis=1)
+    keep = norm_u_sq.astype(float) <= r_grid * r_grid + 1e-12
+    u, norm_u_sq = u[keep], norm_u_sq[keep]
+    amps = np.asarray(spec.amplitude(u.astype(float) * (t_scale / big_n)), dtype=complex)
     total_mass = float((np.abs(amps) ** 2).sum())
     if total_mass == 0:
         raise ZeroMassError("spec has zero squared mass on the prepared grid")
     amps = amps / math.sqrt(total_mass)
+    mass = np.abs(amps) ** 2
+
+    # Hypothesis check (warning only): the radius holding 1 - 2^-n of the
+    # prepared mass, |u| T / N in the oracle's space, against lambda_1 of the
+    # dual scaled by 2^(n/2 + 2).
+    order = np.argsort(norm_u_sq, kind="stable")
+    cum = np.cumsum(mass[order])
+    idx = min(int(np.searchsorted(cum, (1.0 - 2.0**-n) * cum[-1])), len(order) - 1)
+    t_mass_sq = Fraction(int(norm_u_sq[order[idx]]) * t_scale**2, big_n**2)
+    try:
+        boundedness_ok = t_mass_sq * 2 ** (n + 4) <= lambda1_sq(dual_basis(b))
+    except SizeGuardError:
+        boundedness_ok = False
+    else:
+        if not boundedness_ok:
+            warnings.warn(
+                f"mass radius {math.sqrt(t_mass_sq):.4g} exceeds lambda1(dual)/2^(n/2+2); "
+                "decoding guarantees may fail",
+                stacklevel=2,
+            )
 
     # Step 3: coset alignment x = u + y with y the scaled-dual tag of u's coset.
     inv = s.condition_inverse()
@@ -359,12 +292,10 @@ def sample(
     gs = gram_schmidt(dual_red)
     lam_dual_scaled_sq = lambda1_sq(dual_scaled)
 
-    mass = np.abs(amps) ** 2
     carrying = mass >= CARRYING_MASS
     acc = np.zeros(big_n ** (n - 1), dtype=complex)
     slots = ln_index(s, x[:, 1:])
     ancilla_mass = 0.0
-    norm_u_sq = (u * u).sum(axis=1)
     tag_ok = np.zeros(len(u), dtype=bool)
     for i in range(len(u)):
         decoded = nearest_plane(dual_red, tuple(int(c) for c in x[i]), gs=gs)
@@ -396,7 +327,7 @@ def sample(
     decode_mismatch_rate = (
         mismatch_mass / carrying_mass_total if carrying_mass_total > 0 else 0.0
     )
-    if decode_mismatch_rate > mismatch_warn_threshold or ancilla_mass > 1e-10:
+    if decode_mismatch_rate > 0 or ancilla_mass > 1e-10:
         warnings.warn(
             f"decode mismatch rate {decode_mismatch_rate:.3e}, "
             f"ancilla residual {ancilla_mass:.3e}",

@@ -94,6 +94,23 @@ class TestQftSim:
             matches = list(outdir.glob(f"step{step}_*.bin"))
             assert matches, f"missing snapshot for step {step}"
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param("a,b", id="not-integer"),
+            pytest.param("1,1,1", id="wrong-length"),
+            pytest.param("1,2", id="off-lattice"),
+        ],
+    )
+    def test_bad_dump_state_exit_one(self, files, capsys, state):
+        code = main([
+            "qft-sim", "--input", str(files / "good.txt"),
+            "--out", str(files / "sim"), "--dump-state", state,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSample:
     def test_end_to_end_report(self, files):
@@ -146,6 +163,7 @@ class TestSample:
             pytest.param({"spec": {"kind": "gaussian", "s": 0}}, id="s-zero"),
             pytest.param({"spec": {"kind": "gaussian", "s": -2.0}}, id="s-negative"),
             pytest.param({"spec": {"kind": "uniform", "s": 16.0}}, id="kind-unsupported"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "seed": -1}, id="seed-negative"),
             pytest.param([1, 2], id="config-list"),
             pytest.param(7, id="config-number"),
             pytest.param("config", id="config-string"),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latdft.errors import ParameterError, ZeroMassError
+from latdft import intlat
+from latdft.errors import ParameterError, SizeGuardError, ZeroMassError
 from latdft.intlat import ExactMatrix, lambda1_sq, membership
 from latdft.sampler import (
     DiscreteDistribution,
     QESSpec,
-    bounded_check,
     brute_force_target,
     gaussian_spec,
     pac_distance,
@@ -25,55 +25,25 @@ def target_gaussian(s):
     return lambda p: math.exp(-math.pi * sum(c * c for c in p) / (2 * s * s))
 
 
-class TestBoundedCheck:
-    def test_delta_at_origin(self):
-        spec = QESSpec(amplitude=lambda p: 1.0 if all(c == 0 for c in p) else 0.0,
-                       grid_radius=10.0)
-        rep = bounded_check(spec, s=1.0)
-        assert rep.epsilon == 0.0
-
-    def test_gaussian_tail_small(self):
-        # Width 3 Gaussian, ball of radius 3*sqrt(2): the outside mass is far
-        # below the 2^-n guidance level.
-        spec = gaussian_spec(3.0, grid_radius=30.0)
-        rep = bounded_check(spec, s=3.0 * math.sqrt(2.0))
-        assert rep.epsilon <= 0.25
-        assert rep.epsilon < 0.01
-
-    def test_radius_covering_support(self):
-        spec = gaussian_spec(2.0, grid_radius=8.0)
-        rep = bounded_check(spec, s=100.0)
-        assert rep.epsilon == 0.0
-
-    def test_zero_mass(self):
-        spec = QESSpec(amplitude=lambda p: 0.0, grid_radius=3.0)
-        with pytest.raises(ZeroMassError):
-            bounded_check(spec, s=1.0)
-
-
 class TestGaussianSpec:
     def test_unit_at_origin(self):
         spec = gaussian_spec(4.0, grid_radius=10.0)
-        assert spec.amplitude((0, 0)) == 1.0
+        assert spec.amplitude(np.zeros((1, 2))).tolist() == [1.0]
 
     def test_density_ratio_identity(self):
         s = 3.5
         spec = gaussian_spec(s, grid_radius=10.0)
-        for x in [(1, 0), (2, 2), (0, 3)]:
-            ratio = abs(spec.amplitude(x)) ** 2 / abs(spec.amplitude((0, 0))) ** 2
-            expected = math.exp(-math.pi * sum(c * c for c in x) / (s * s))
-            assert abs(ratio - expected) < 1e-12
+        pts = np.array([(0, 0), (1, 0), (2, 2), (0, 3)], dtype=float)
+        amps = spec.amplitude(pts)
+        for x, a in zip(pts[1:], amps[1:]):
+            expected = math.exp(-math.pi * (x @ x) / (s * s))
+            assert abs(abs(a) ** 2 / abs(amps[0]) ** 2 - expected) < 1e-12
 
     def test_radial_monotonicity(self):
         spec = gaussian_spec(2.0, grid_radius=10.0)
-        pts = sorted([(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)],
-                     key=lambda p: p[0] ** 2 + p[1] ** 2)
-        vals = [abs(spec.amplitude(p)) for p in pts]
+        pts = np.array([(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)], dtype=float)
+        vals = np.abs(spec.amplitude(pts)).tolist()
         assert vals == sorted(vals, reverse=True)
-
-    def test_rational_arguments_accepted(self):
-        spec = gaussian_spec(2.0, grid_radius=10.0)
-        assert spec.amplitude((Fraction(1, 2), Fraction(-3, 4))) > 0
 
     def test_invalid_width(self):
         with pytest.raises(ParameterError):
@@ -141,17 +111,10 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(((0,),), np.array([-1.0]))
 
-    def test_from_weights_prunes(self):
-        dist = DiscreteDistribution.from_weights(
-            [(0,), (1,), (2,)], np.array([1.0, 1e-20, 1.0]), prune_mass=1e-13
-        )
-        assert dist.points == ((0,), (2,))
-        assert abs(dist.probs.sum() - 1.0) < 1e-15
-
 
 class TestSample:
     def test_constant_spectrum_concentrates_at_origin(self):
-        spec = QESSpec(amplitude=lambda p: 1.0, grid_radius=100.0, label="flat")
+        spec = QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=100.0, label="flat")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=32, seed=5)
@@ -214,3 +177,33 @@ class TestSample:
         res = sample(spec, B_ACCEPT, Fraction(1, 8), shots=0, seed=0)
         assert res.samples == []
         assert abs(res.distribution.probs.sum() - 1.0) < 1e-12
+
+    def test_zero_mass_oracle(self):
+        spec = QESSpec(amplitude=lambda p: np.zeros(len(p)), grid_radius=3.0)
+        with pytest.raises(ZeroMassError):
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=1, seed=0)
+
+    def test_sub_unit_support_flagged(self):
+        # The whole declared support lies inside the unit ball of the oracle's
+        # space, yet the prepared grid carries mass too wide to decode.
+        spec = gaussian_spec(0.5, grid_radius=0.99)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=0, seed=0)
+        assert any("mass radius" in str(w.message) for w in caught)
+        assert res.boundedness_ok is False
+        assert res.decode_mismatch_rate > 0
+
+    def test_grid_guard(self, monkeypatch):
+        # |L_N| = 1026 fits the guard; the 65 x 65 residue box does not.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 2000)
+        spec = gaussian_spec(1 / 16, grid_radius=1.0)
+        with pytest.raises(SizeGuardError, match="box of 4225"):
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=0, seed=0)
+
+    def test_ln_guard(self, monkeypatch):
+        # I_2 at epsilon 1/4 reduces to N = 1026, so |L_N| = 1026.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 1000)
+        spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
+        with pytest.raises(SizeGuardError, match=r"\|L_N\| = N\^\(n-1\) = 1026"):
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=0, seed=0)
