@@ -5,6 +5,15 @@ arithmetic is carried out over Python integers and ``fractions.Fraction``,
 or over int64 arrays under a bound checked before they are built; nothing
 in this module rounds.  Operations that need floating point (statevectors,
 DFT matrices) live elsewhere and convert at the boundary.
+
+The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
+build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
+``nearest_plane_rows`` runs Babai's nearest plane on every target row and
+``integral_rows`` maps every row through a rational matrix.  Each derives
+an a-priori magnitude bound from its inputs with Python integers and raises
+``SizeGuardError`` before computing if any intermediate could overflow
+int64.  The scalar Fraction routines they batch (``nearest_plane``,
+``ExactMatrix.mul_vec``, ``membership``) stay as their test oracles.
 """
 
 from __future__ import annotations
@@ -207,7 +216,10 @@ def parse_matrix_text(text: str) -> ExactMatrix:
         toks = ln.split()
         if len(toks) != ncols:
             raise ValueError(f"expected {ncols} entries per row")
-        rows.append([Fraction(t) for t in toks])
+        try:
+            rows.append([Fraction(t) for t in toks])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in row {ln.strip()!r}") from None
     return ExactMatrix(rows)
 
 
@@ -508,6 +520,72 @@ def scaled_offsets(b: ExactMatrix, z: np.ndarray, center: Sequence) -> tuple[np.
     if len(cd) * reach * reach >= _INT64_LIMIT:
         raise SizeGuardError(f"lattice offsets up to {reach} overflow int64 distances")
     return z @ np.array(bd, dtype=np.int64).T - np.array(cd, dtype=np.int64), den
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def nearest_plane_rows(b: ExactMatrix, targets: np.ndarray) -> np.ndarray:
+    """Babai's nearest-plane lattice point for every int64 row of targets.
+
+    Exactly :func:`nearest_plane` row by row for an integer basis.  Each
+    b*_j / ||b*_j||^2 is scaled once to an integer vector a_j over a positive
+    integer q_j, so every coefficient is p / q_j with p = <rem, a_j>, rounded
+    as ``round`` rounds a Fraction: p // q_j, plus one when the remainder is
+    above half, or exactly half and the quotient odd.  Raises SizeGuardError
+    unless every intermediate provably fits int64.
+    """
+    if not b.is_integer():
+        raise ValueError("nearest_plane_rows requires an integer basis")
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 2 or targets.shape[1] != b.ncols:
+        raise ValueError(f"targets must be rows of length {b.ncols}")
+    planes = []
+    for v in gram_schmidt(b).orthogonal:
+        h = vec_scale(v, 1 / norm_sq(v))
+        q = math.lcm(*(x.denominator for x in h))
+        planes.append(([int(x * q) for x in h], q))
+    cols = [[int(x) for x in b.column(j)] for j in range(b.ncols)]
+    # |rem| <= reach entrywise before each step; every product below is bounded by it.
+    reach = max(_max_abs(targets), 1)
+    for j in range(b.ncols - 1, -1, -1):
+        a, q = planes[j]
+        dot_bound = reach * sum(abs(x) for x in a)
+        reach += (dot_bound // q + 1) * max(abs(x) for x in cols[j])
+        bound = max(dot_bound, reach, 2 * q)
+        if bound >= _INT64_LIMIT:
+            raise SizeGuardError(f"nearest-plane values up to {bound} overflow int64")
+    rem = targets.copy()
+    point = np.zeros_like(rem)
+    for j in range(b.ncols - 1, -1, -1):
+        a, q = planes[j]
+        f, r = np.divmod(rem @ np.array(a, dtype=np.int64), q)
+        c = f + ((2 * r > q) | ((2 * r == q) & (f % 2 == 1)))
+        step = c[:, None] * np.array(cols[j], dtype=np.int64)
+        rem -= step
+        point += step
+    return point
+
+
+def integral_rows(m: ExactMatrix, rows: np.ndarray) -> np.ndarray:
+    """m @ row for every int64 row, exactly; ValueError if any image is not integral.
+
+    One common denominator D turns m into the integer matrix D m, and an
+    image is integral exactly when D divides it.  Raises SizeGuardError
+    unless every product provably fits int64.
+    """
+    den = math.lcm(*(x.denominator for r in m.rows() for x in r))
+    md = [[int(x * den) for x in row] for row in m.rows()]
+    rows = np.asarray(rows, dtype=np.int64)
+    reach = max(_max_abs(rows), 1) * max(sum(abs(x) for x in row) for row in md)
+    if max(reach, den) >= _INT64_LIMIT:
+        raise SizeGuardError(f"rational images up to {reach} over {den} overflow int64")
+    images = rows @ np.array(md, dtype=np.int64).T
+    bad = np.flatnonzero((images % den).any(axis=1))
+    if len(bad):
+        raise ValueError(f"{tuple(rows[bad[0]].tolist())} has a non-integral image")
+    return images // den
 
 
 # -- brute-force CVP / SVP oracles ------------------------------------------------

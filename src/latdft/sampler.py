@@ -21,22 +21,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import intlat
-from .errors import ParameterError, SizeGuardError, ZeroMassError
+from .errors import ParameterError, RankError, SizeGuardError, ZeroMassError
 from .intlat import (
     ExactMatrix,
     box_points,
     determinant,
     dual_basis,
-    gram_schmidt,
+    integral_rows,
     lambda1_sq,
     lex_box,
     lll_reduce,
-    membership,
-    nearest_plane,
+    nearest_plane_rows,
     scaled_offsets,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ModVector, ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
+from .sysnf import ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
@@ -224,6 +223,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # using an integer upper bound for sqrt(n) (a smaller parameter only
     # tightens the certificate).
     det_abs = abs(determinant(b))
+    if det_abs == 0:
+        raise RankError("basis is singular")
     eps_reduce = epsilon / (_ceil_sqrt(n) * det_abs)
     cert = reduce_to_sysnf(b, eps_reduce)
     s = cert.basis
@@ -289,21 +290,14 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         dual_rows[i][i] = big_n
     dual_scaled = ExactMatrix(dual_rows)
     dual_red = lll_reduce(dual_scaled)
-    gs = gram_schmidt(dual_red)
     lam_dual_scaled_sq = lambda1_sq(dual_scaled)
 
     carrying = mass >= CARRYING_MASS
+    tag_ok = (nearest_plane_rows(dual_red, x) % big_n == y).all(axis=1)
     acc = np.zeros(big_n ** (n - 1), dtype=complex)
-    slots = ln_index(s, x[:, 1:])
-    ancilla_mass = 0.0
-    tag_ok = np.zeros(len(u), dtype=bool)
-    for i in range(len(u)):
-        decoded = nearest_plane(dual_red, tuple(int(c) for c in x[i]), gs=gs)
-        tag_ok[i] = all(int(d) % big_n == int(yy) for d, yy in zip(decoded, y[i]))
-        if tag_ok[i]:
-            acc[slots[i]] += amps[i]
-        else:
-            ancilla_mass += float(mass[i])
+    # add.at and the row-order sum add in grid order, as a per-point loop would.
+    np.add.at(acc, ln_index(s, x[tag_ok, 1:]), amps[tag_ok])
+    ancilla_mass = sum(mass[~tag_ok].tolist(), 0.0)
 
     # Correct-closest verification on amplitude-carrying points.  Within half
     # the first minimum the tag is provably the unique closest scaled-dual
@@ -311,6 +305,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # matter (dist(x, NL'*) equals dist(u, NL'*) by shift invariance).
     closest_is_tag = (4 * norm_u_sq) < float(lam_dual_scaled_sq)
     unresolved = carrying & ~closest_is_tag
+    rivals = []
     if unresolved.any():
         r_max = math.sqrt(float(norm_u_sq[unresolved].max()))
         rivals = _short_dual_vectors(dual_scaled, 2.0 * r_max + 1.0)
@@ -347,15 +342,15 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # heaviest point always survives.
     keep_idx = np.flatnonzero(probs >= PRUNE_MASS * total_prob / len(probs))
     kept = probs[keep_idx] / probs[keep_idx].sum()
-    points = [
-        cert.apply_sigma_inverse(ModVector(big_n, tuple(z)).centered())
-        for z in ln_points(s)[keep_idx].tolist()
-    ]
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    dist = DiscreteDistribution(tuple(points[i] for i in order), kept[order])
-    for w in dist.points:
-        if not membership(b, w):
-            raise RuntimeError(f"support point {w} escaped the input lattice")
+    # Centred representatives in (-N/2, N/2] go through sigma^-1 and must land in L(B).
+    w = ln_points(s)[keep_idx]
+    points = integral_rows(cert.sigma_inverse, np.where(w > big_n // 2, w - big_n, w))
+    try:
+        integral_rows(b.inverse(), points)
+    except ValueError as exc:
+        raise RuntimeError(f"support point escaped the input lattice: {exc}") from exc
+    order = np.lexsort(points.T[::-1])
+    dist = DiscreteDistribution(tuple(map(tuple, points[order].tolist())), kept[order])
 
     rng = np.random.default_rng(seed)
     if shots and len(dist.points):
@@ -373,5 +368,12 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         norm_defect=norm_defect,
         boundedness_ok=boundedness_ok,
         grid_points=len(u),
-        diagnostics={"lambda1_scaled_dual_sq": float(lam_dual_scaled_sq)},
+        diagnostics={
+            "lambda1_scaled_dual_sq": float(lam_dual_scaled_sq),
+            "carrying_points": int(carrying.sum()),
+            "unresolved_points": int(unresolved.sum()),
+            "rival_vectors": len(rivals),
+            "ancilla_points": int((~tag_ok).sum()),
+            "support_points": len(dist.points),
+        },
     )

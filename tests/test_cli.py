@@ -17,6 +17,8 @@ def files(tmp_path):
     junk.write_text("not a matrix\n")
     reducible = tmp_path / "reducible.txt"
     reducible.write_text("2 2\n2 1\n0 1\n")
+    singular = tmp_path / "singular.txt"
+    singular.write_text("2 2\n1 2\n2 4\n")
     return tmp_path
 
 
@@ -112,6 +114,33 @@ class TestQftSim:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+MALFORMED = {
+    "zero-denominator": "2 2\n1/0 1\n0 1\n",
+    "non-numeric": "2 2\n5 x\n0 1\n",
+    "row-count": "3 2\n5 1\n0 1\n",
+    "ragged-row": "2 2\n5 1\n0\n",
+    "non-square": "2 3\n5 1 0\n0 1 0\n",
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", ["validate", "reduce", "dft", "qft-sim"])
+    def test_documented_exit_no_traceback(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "m.txt"
+        path.write_text(MALFORMED[kind])
+        argv = [command, "--input", str(path)]
+        if command == "reduce":
+            argv += ["--epsilon", "1/16", "--out", str(tmp_path / "cert.json")]
+        elif command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        # A well-formed but non-SysNF matrix is a domain rejection (2) where
+        # the command needs SysNF; reduce takes it as a non-square basis (1).
+        want = 2 if kind == "non-square" and command != "reduce" else 1
+        assert main(argv) == want
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSample:
     def test_end_to_end_report(self, files):
         config = {
@@ -152,6 +181,20 @@ class TestSample:
         r1 = json.loads((out1 / "sample_report.json").read_text())
         r2 = json.loads((out2 / "sample_report.json").read_text())
         assert r1 == r2
+
+    def test_singular_basis_exit_one(self, files, capsys):
+        config = {
+            "basis": str(files / "singular.txt"),
+            "spec": {"kind": "gaussian", "s": 16.0},
+            "epsilon": "1/16",
+            "shots": 10,
+            "seed": 1,
+        }
+        cfg = files / "singular_cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "singular" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "config",

@@ -1,4 +1,5 @@
-"""Property tests of the shared enumeration core and the canonical L_N order.
+"""Property tests of the shared enumeration core, the int64 row kernels and
+the canonical L_N order.
 
 Derandomized, so every run draws the same examples.
 """
@@ -20,7 +21,10 @@ from latdft.intlat import (
     brute_force_cvp,
     cvp_exact,
     determinant,
+    integral_rows,
     lll_reduce,
+    nearest_plane,
+    nearest_plane_rows,
     norm_sq,
     scaled_offsets,
     sqrt_upper_bound,
@@ -143,3 +147,80 @@ def test_int64_guards():
         scaled_offsets(b, z, (0, 0))
     with pytest.raises(SizeGuardError):
         box_points(ExactMatrix.identity(2), (10**30, 0), 1)
+
+
+reduced_basis = basis_and_centre().map(lambda bc: lll_reduce(bc[0]))
+
+
+def _int_rows(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=12)
+
+
+def _scalar_decode(b, targets):
+    return [[int(x) for x in nearest_plane(b, t)] for t in targets]
+
+
+@PROPS
+@given(reduced_basis, st.data())
+def test_nearest_plane_rows_matches_scalar(b, data):
+    entries = st.one_of(st.integers(-60, 60), st.integers(-(2**62), 2**62))
+    targets = data.draw(_int_rows(b.ncols, entries))
+    try:
+        got = nearest_plane_rows(b, np.array(targets, dtype=np.int64))
+    except SizeGuardError:
+        assert max(abs(x) for t in targets for x in t) > 2**40  # small targets never trip it
+        return
+    assert got.dtype == np.int64
+    assert got.tolist() == _scalar_decode(b, targets)
+
+
+@PROPS
+@given(reduced_basis, st.data())
+def test_nearest_plane_rows_ties_round_half_even(b, data):
+    # Against 2B the target B(2z + e_n) sits exactly half-way between two
+    # planes of the last Gram-Schmidt vector, so the first rounding is a tie.
+    zs = data.draw(_int_rows(b.ncols, st.integers(-20, 20)))
+    tie_coeffs = [[2 * z for z in zz[:-1]] + [2 * zz[-1] + 1] for zz in zs]
+    targets = [[int(x) for x in b.mul_vec(z)] for z in tie_coeffs]
+    doubled = b.scale(2)
+    got = nearest_plane_rows(doubled, np.array(targets, dtype=np.int64))
+    assert got.tolist() == _scalar_decode(doubled, targets)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@PROPS
+@given(
+    st.integers(1, 3).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=3),
+            _int_rows(c, st.integers(-30, 30)),
+        )
+    )
+)
+def test_integral_rows_matches_mul_vec(params):
+    rows, zs = params
+    m = ExactMatrix(rows)
+    den = math.lcm(*(x.denominator for r in m.rows() for x in r))
+    scaled = np.array(zs, dtype=np.int64) * den  # every image integral
+    want = [[int(x) for x in m.mul_vec(z)] for z in scaled.tolist()]
+    assert integral_rows(m, scaled).tolist() == want
+    images = [m.mul_vec(z) for z in zs]
+    if all(x.denominator == 1 for v in images for x in v):
+        want = [[int(x) for x in v] for v in images]
+        assert integral_rows(m, np.array(zs, dtype=np.int64)).tolist() == want
+    else:
+        with pytest.raises(ValueError, match="non-integral image"):
+            integral_rows(m, np.array(zs, dtype=np.int64))
+
+
+def test_row_kernel_int64_guards():
+    with pytest.raises(SizeGuardError):  # 2 q_j = 2^63
+        nearest_plane_rows(ExactMatrix([[2**62, 0], [0, 1]]), np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(SizeGuardError):  # |rem| could pass 2^63 after one step
+        nearest_plane_rows(ExactMatrix.identity(2), np.array([[2**62, 0]], dtype=np.int64))
+    with pytest.raises(SizeGuardError):  # one image sum reaches 2^63
+        integral_rows(ExactMatrix([[2**62, 2**62]]), np.ones((1, 2), dtype=np.int64))
+    with pytest.raises(SizeGuardError):  # the common denominator itself
+        integral_rows(ExactMatrix([[Fraction(1, 2**63)]]), np.ones((1, 1), dtype=np.int64))

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from latdft import intlat
-from latdft.errors import ParameterError, SizeGuardError, ZeroMassError
+from latdft.errors import ParameterError, RankError, SizeGuardError, ZeroMassError
 from latdft.intlat import ExactMatrix, lambda1_sq, membership
 from latdft.sampler import (
     DiscreteDistribution,
@@ -138,6 +138,10 @@ class TestSample:
         assert disp <= 1 / 16
         for p in res.distribution.points:
             assert membership(B_ACCEPT, p)
+        diag = res.diagnostics
+        assert diag["support_points"] == len(res.distribution.points)
+        assert diag["ancilla_points"] == diag["unresolved_points"] == diag["rival_vectors"] == 0
+        assert 0 < diag["carrying_points"] <= res.grid_points
 
     def test_determinism_and_seed_sensitivity(self):
         spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
@@ -172,6 +176,11 @@ class TestSample:
             with pytest.raises(ParameterError):
                 sample(spec, B_ACCEPT, eps, shots=1, seed=0)
 
+    def test_singular_basis(self):
+        spec = gaussian_spec(1 / 16, grid_radius=1.0)
+        with pytest.raises(RankError):
+            sample(spec, ExactMatrix([[1, 2], [2, 4]]), Fraction(1, 4), shots=1, seed=0)
+
     def test_zero_shots(self):
         spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
         res = sample(spec, B_ACCEPT, Fraction(1, 8), shots=0, seed=0)
@@ -193,6 +202,9 @@ class TestSample:
         assert any("mass radius" in str(w.message) for w in caught)
         assert res.boundedness_ok is False
         assert res.decode_mismatch_rate > 0
+        diag = res.diagnostics
+        assert 0 < diag["unresolved_points"] <= diag["carrying_points"] <= res.grid_points
+        assert diag["rival_vectors"] > 0
 
     def test_grid_guard(self, monkeypatch):
         # |L_N| = 1026 fits the guard; the 65 x 65 residue box does not.
