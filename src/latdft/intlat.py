@@ -8,12 +8,14 @@ DFT matrices) live elsewhere and convert at the boundary.
 
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
 build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
-``nearest_plane_rows`` runs Babai's nearest plane on every target row and
-``integral_rows`` maps every row through a rational matrix.  Each derives
-an a-priori magnitude bound from its inputs with Python integers and raises
-``SizeGuardError`` before computing if any intermediate could overflow
-int64.  The scalar Fraction routines they batch (``nearest_plane``,
-``ExactMatrix.mul_vec``, ``membership``) stay as their test oracles.
+``nearest_plane_rows`` runs Babai's nearest plane on every target row,
+``integral_rows`` maps every row through a rational matrix and
+``in_voronoi_cell`` tests every row against the ``voronoi_relevant``
+vectors.  Each derives an a-priori magnitude bound from its inputs with
+Python integers and raises ``SizeGuardError`` before computing if any
+intermediate could overflow int64.  The scalar Fraction routines they batch
+(``nearest_plane``, ``ExactMatrix.mul_vec``, ``membership``, ``cvp_exact``)
+stay as their test oracles.
 """
 
 from __future__ import annotations
@@ -586,6 +588,44 @@ def integral_rows(m: ExactMatrix, rows: np.ndarray) -> np.ndarray:
     if len(bad):
         raise ValueError(f"{tuple(rows[bad[0]].tolist())} has a non-integral image")
     return images // den
+
+
+def voronoi_relevant(b: ExactMatrix) -> np.ndarray:
+    """The Voronoi-relevant vectors of an integer basis, as int64 rows.
+
+    v is relevant exactly when +-v are the only shortest vectors of the coset
+    v + 2L (Conway & Sloane, SPLAG ch. 21), and the closed Voronoi cell is cut
+    out by them alone.  Each coset B c + 2L, c in {0, 1}^n, holds B c, so its
+    minimum is at most sum ||b_i||: one coefficient box of that radius sees
+    every coset minimum with all its attainers, and the parity of z names the
+    coset.  At most 2 (2^n - 1) rows, in the box's lexicographic order.
+    """
+    if not b.is_integer():
+        raise ValueError("voronoi_relevant requires an integer basis")
+    n = b.ncols
+    origin = (0,) * n
+    z = box_points(b, origin, sum(sqrt_upper_bound(norm_sq(col)) for col in b.columns()))
+    pts, _ = scaled_offsets(b, z, origin)
+    d = (pts * pts).sum(axis=1)
+    coset = (z % 2) @ (1 << np.arange(n, dtype=np.int64))
+    least = np.full(2**n, _INT64_LIMIT - 1, dtype=np.int64)
+    np.minimum.at(least, coset, d)
+    attains = d == least[coset]
+    # The zero coset's minimum is the origin alone, so it never has two attainers.
+    return pts[attains & (np.bincount(coset[attains], minlength=2**n)[coset] == 2)]
+
+
+def in_voronoi_cell(relevant: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """True for each int64 row u with 2 <u, v> <= ||v||^2 for every relevant row v.
+
+    With the relevant vectors of :func:`voronoi_relevant` this is the closed
+    Voronoi cell: the origin is a closest lattice point to u, ties included.
+    Raises SizeGuardError unless every product provably fits int64.
+    """
+    reach = max(_max_abs(rows), _max_abs(relevant), 1)
+    if 2 * relevant.shape[1] * reach * reach >= _INT64_LIMIT:
+        raise SizeGuardError(f"Voronoi-cell products of entries up to {reach} overflow int64")
+    return (2 * (rows @ relevant.T) <= (relevant * relevant).sum(axis=1)).all(axis=1)
 
 
 # -- brute-force CVP / SVP oracles ------------------------------------------------

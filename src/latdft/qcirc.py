@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModulusMismatchError, UncomputeError
+from . import intlat
+from .errors import ModulusMismatchError, SizeGuardError, UncomputeError
 from .sysnf import SysNFBasis, ln_index, ln_points
 
 SUPPORT_TOL = 1e-12
@@ -169,6 +170,8 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     for the large moduli produced by basis reduction.
     """
     m = s.N ** (s.n - 1)
+    if m > intlat.BOX_GUARD:
+        raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
     s.condition_inverse()  # the compressed shear is a permutation only when valid

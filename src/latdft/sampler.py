@@ -27,12 +27,14 @@ from .intlat import (
     box_points,
     determinant,
     dual_basis,
+    in_voronoi_cell,
     integral_rows,
     lambda1_sq,
     lex_box,
     lll_reduce,
     nearest_plane_rows,
     scaled_offsets,
+    voronoi_relevant,
 )
 from .qcirc import lattice_qft_values
 from .sysnf import ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
@@ -53,27 +55,22 @@ class QESSpec:
 
     amplitude: Callable[[np.ndarray], np.ndarray]
     grid_radius: float
-    label: str = ""
 
 
-def gaussian_spec(s: float, grid_radius: float, label: str | None = None) -> QESSpec:
+def gaussian_spec(s: float, grid_radius: float) -> QESSpec:
     """Gaussian amplitude F(x) = exp(-pi ||x||^2 / (2 s^2)).
 
     The square |F|^2 is then the Gaussian density with width parameter s, so
     measured probabilities track the density directly.
     """
-    if s <= 0:
-        raise ParameterError("gaussian width must be positive")
+    if not (s > 0 and 0 < 2 * s * s < math.inf and math.isfinite(grid_radius)):
+        raise ParameterError("gaussian width needs s > 0 and 0 < 2 s^2 < inf, grid radius finite")
 
     def amp(pts):
         r2 = np.sum(np.asarray(pts, dtype=float) ** 2, axis=1)
         return np.exp(-np.pi * r2 / (2 * s * s))
 
-    return QESSpec(
-        amplitude=amp,
-        grid_radius=float(grid_radius),
-        label=label if label is not None else f"gaussian({s})",
-    )
+    return QESSpec(amplitude=amp, grid_radius=float(grid_radius))
 
 
 @dataclass(frozen=True)
@@ -193,15 +190,6 @@ def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 0 else 0
 
 
-def _short_dual_vectors(basis: ExactMatrix, radius: float) -> list[tuple[int, ...]]:
-    """All nonzero lattice vectors of the integer basis within the radius."""
-    origin = (0,) * basis.ncols
-    pts, _ = scaled_offsets(basis, box_points(basis, origin, radius), origin)
-    r2 = (pts.astype(float) ** 2).sum(axis=1)
-    keep = (r2 <= float(radius) ** 2 + 1e-9) & (r2 > 0)
-    return [tuple(int(c) for c in p) for p in pts[keep]]
-
-
 def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> SampleResult:
     """Run the sampling algorithm with exact amplitude bookkeeping.
 
@@ -217,6 +205,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         raise ParameterError("shots must be non-negative")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
+    if not 0 <= spec.grid_radius < math.inf:
+        raise ParameterError("grid radius must be finite and non-negative")
     n = b.ncols
 
     # Step 1: nearby SysNF lattice with accuracy epsilon / (sqrt(n) det(B)),
@@ -247,6 +237,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     u, norm_u_sq = u[keep], norm_u_sq[keep]
     amps = np.asarray(spec.amplitude(u.astype(float) * (t_scale / big_n)), dtype=complex)
     total_mass = float((np.abs(amps) ** 2).sum())
+    if not math.isfinite(total_mass):
+        raise ParameterError("spec has non-finite squared mass on the prepared grid")
     if total_mass == 0:
         raise ZeroMassError("spec has zero squared mass on the prepared grid")
     amps = amps / math.sqrt(total_mass)
@@ -281,16 +273,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     x = (u_mod + y) % big_n
 
     # Step 4: nearest-plane decode of the tag against the reduced scaled dual.
-    # N B'^-T has the closed form: first column (1, -b_2, ..., -b_n), then N
-    # times the identity on the remaining columns.
-    dual_rows = [[0] * n for _ in range(n)]
-    dual_rows[0][0] = 1
-    for i in range(1, n):
-        dual_rows[i][0] = -s.b[i - 1]
-        dual_rows[i][i] = big_n
-    dual_scaled = ExactMatrix(dual_rows)
-    dual_red = lll_reduce(dual_scaled)
-    lam_dual_scaled_sq = lambda1_sq(dual_scaled)
+    dual_red = lll_reduce(dual_basis(s.to_matrix()).scale(big_n))
 
     carrying = mass >= CARRYING_MASS
     tag_ok = (nearest_plane_rows(dual_red, x) % big_n == y).all(axis=1)
@@ -299,29 +282,15 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     np.add.at(acc, ln_index(s, x[tag_ok, 1:]), amps[tag_ok])
     ancilla_mass = sum(mass[~tag_ok].tolist(), 0.0)
 
-    # Correct-closest verification on amplitude-carrying points.  Within half
-    # the first minimum the tag is provably the unique closest scaled-dual
-    # point; beyond that, compare against every dual vector short enough to
-    # matter (dist(x, NL'*) equals dist(u, NL'*) by shift invariance).
-    closest_is_tag = (4 * norm_u_sq) < float(lam_dual_scaled_sq)
-    unresolved = carrying & ~closest_is_tag
-    rivals = []
-    if unresolved.any():
-        r_max = math.sqrt(float(norm_u_sq[unresolved].max()))
-        rivals = _short_dual_vectors(dual_scaled, 2.0 * r_max + 1.0)
-        uu = u[unresolved]
-        ok = np.ones(len(uu), dtype=bool)
-        for d in rivals:
-            dv = np.array(d, dtype=np.int64)
-            ok &= ((uu - dv) ** 2).sum(axis=1) >= norm_u_sq[unresolved]
-        closest_is_tag[unresolved] = ok
-    mismatch = carrying & ~(tag_ok & closest_is_tag)
-    carrying_mass_total = float(mass[carrying].sum())
-    mismatch_mass = float(mass[mismatch].sum())
-
-    decode_mismatch_rate = (
-        mismatch_mass / carrying_mass_total if carrying_mass_total > 0 else 0.0
-    )
+    # Correct-closest check on amplitude-carrying points: x - y = u modulo
+    # N Z^n, inside N L'*, so the tag is a closest point of N L'* to x exactly
+    # when u lies in the closed Voronoi cell of N L'*.
+    relevant = voronoi_relevant(dual_red)
+    off_cell = np.zeros(len(u), dtype=bool)
+    off_cell[carrying] = ~in_voronoi_cell(relevant, u[carrying])
+    mismatch_mass = float(mass[off_cell | (carrying & ~tag_ok)].sum())
+    carrying_mass = float(mass[carrying].sum())
+    decode_mismatch_rate = mismatch_mass / carrying_mass if carrying_mass > 0 else 0.0
     if decode_mismatch_rate > 0 or ancilla_mass > 1e-10:
         warnings.warn(
             f"decode mismatch rate {decode_mismatch_rate:.3e}, "
@@ -369,10 +338,10 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         boundedness_ok=boundedness_ok,
         grid_points=len(u),
         diagnostics={
-            "lambda1_scaled_dual_sq": float(lam_dual_scaled_sq),
+            "lambda1_scaled_dual_sq": float((relevant * relevant).sum(axis=1).min()),
             "carrying_points": int(carrying.sum()),
-            "unresolved_points": int(unresolved.sum()),
-            "rival_vectors": len(rivals),
+            "relevant_vectors": len(relevant),
+            "off_cell_points": int(off_cell.sum()),
             "ancilla_points": int((~tag_ok).sum()),
             "support_points": len(dist.points),
         },

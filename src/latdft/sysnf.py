@@ -297,13 +297,6 @@ class ReductionCertificate:
         return cls(basis, sigma, int(d["T"]), int(d["delta"]), Fraction(d["epsilon"]))
 
 
-def round_half_away(x: Fraction) -> int:
-    """Round to nearest integer, ties away from zero."""
-    if x >= 0:
-        return int((2 * x + 1) // 2)
-    return -int((-2 * x + 1) // 2)
-
-
 def _rotation_to_front(n: int) -> ExactMatrix:
     """Permutation matrix R with (M @ R) having M's last column first."""
     cols = []
@@ -322,8 +315,7 @@ def reduce_to_sysnf(
     """Reduce a full-rank integer basis to a nearby SysNF lattice.
 
     Pipeline: (1) column-style HNF; (2) scale by T, put 1s on the
-    sub-diagonal (entries are held as integers scaled by T, with
-    round-half-away truncation where scaling is inexact); (3) integer column
+    sub-diagonal (entries are held as integers scaled by T); (3) integer column
     operations clear rows 2..n right of the sub-diagonal; (4) scan
     delta = 1, 2, ... until the would-be modulus is coprime to the validity
     sum; (5) move the last column to the front and reduce the first row,
@@ -343,14 +335,14 @@ def reduce_to_sysnf(
         raise ParameterError("basis must have integer entries")
 
     n = b.nrows
-    h, u1 = hnf(b)  # raises RankError on singular input
+    h, _ = hnf(b)  # raises RankError on singular input
     det_abs = 1
     for i in range(n):
         det_abs *= int(h[i, i])
 
     t = max(1, math.ceil(Fraction(n) * det_abs / epsilon))
     while True:
-        cert = _reduce_with_scale(b, h, u1, t, epsilon, delta_cap)
+        cert = _reduce_with_scale(b, h, t, epsilon, delta_cap)
         if cert is not None:
             return cert
         t *= 2
@@ -359,20 +351,14 @@ def reduce_to_sysnf(
 
 
 def _reduce_with_scale(
-    b: ExactMatrix, h: ExactMatrix, u1: ExactMatrix, t: int, epsilon: Fraction, delta_cap: int
+    b: ExactMatrix, h: ExactMatrix, t: int, epsilon: Fraction, delta_cap: int
 ) -> ReductionCertificate | None:
     """One pass of the pipeline at fixed scale t; None if the bound fails."""
     n = b.nrows
 
-    # Scaled working matrix t*B2: t*H on the upper triangle, 1 on the sub-diagonal.
-    work = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            work[i][j] = round_half_away(Fraction(h[i, j]) * t)
-    for i in range(1, n):
-        work[i][i - 1] = 1
-
-    cols = [[work[i][j] for i in range(n)] for j in range(n)]
+    # Columns of the scaled working matrix t*B2: t*H (upper triangular) plus
+    # 1 on the sub-diagonal.
+    cols = [[int(h[i, j]) * t + int(i == j + 1) for i in range(n)] for j in range(n)]
     p1 = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P1
 
     # Clear row i (i >= 1, 0-indexed) at columns i..n-1 using column i-1,
@@ -414,8 +400,10 @@ def _reduce_with_scale(
     reduction_q = [x // modulus for x in raw_b]
     basis = SysNFBasis(modulus, tuple(x % modulus for x in raw_b))
 
-    # Coefficient transport: c4 = P3^-1 R^-1 P1^-1 U1^-1 c, all integer
-    # (p1 already includes the sign flip).
+    # Coefficient transport: sigma sends the vector with coefficients c in
+    # H P1 R P3 (p1 already includes the sign flip) to the SysNF vector with
+    # coefficients c.  B U1 = H spans the input lattice, so one exact inverse
+    # does it.
     p1_mat = ExactMatrix.from_columns(p1)
     r_mat = _rotation_to_front(n)
     # P3 subtracts reduction_q[j] copies of column 0 from column j+1 of B4.
@@ -424,8 +412,7 @@ def _reduce_with_scale(
         p3_rows[0][j + 1] = -q
     p3_mat = ExactMatrix(p3_rows)
 
-    transport = p3_mat.inverse() @ r_mat.inverse() @ p1_mat.inverse() @ u1.inverse()
-    sigma = basis.to_matrix() @ transport @ b.inverse()
+    sigma = basis.to_matrix() @ (h @ p1_mat @ r_mat @ p3_mat).inverse()
     cert = ReductionCertificate(basis, sigma, t, delta, epsilon)
 
     # Exact verification.  Per-basis-vector bound first, then a global

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +206,10 @@ class TestSample:
             pytest.param({"spec": {"kind": "gaussian", "s": "wide"}}, id="s-not-number"),
             pytest.param({"spec": {"kind": "gaussian", "s": 0}}, id="s-zero"),
             pytest.param({"spec": {"kind": "gaussian", "s": -2.0}}, id="s-negative"),
+            pytest.param({"spec": {"kind": "gaussian", "s": math.nan}}, id="s-nan"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 1e300}}, id="s-huge"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": math.inf}}, id="grid-radius-inf"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": math.nan}}, id="grid-radius-nan"),
             pytest.param({"spec": {"kind": "uniform", "s": 16.0}}, id="kind-unsupported"),
             pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "seed": -1}, id="seed-negative"),
             pytest.param([1, 2], id="config-list"),

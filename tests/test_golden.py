@@ -2,13 +2,17 @@
 
 ``golden_outputs.json`` was recorded from the implementation that enumerated
 coefficient boxes and L_N indices separately in each caller, before both were
-shared.  These tests make "bit-identical for fixed seeds" a checked property:
-support points and draws must match exactly, probabilities to 1e-15, and the
-exact CVP / first-minimum values must be equal as rationals.
+shared; the ``decode_mismatch_rate`` entries were recorded from the
+sampler that checked closest tags against a growing set of short dual
+vectors, before the Voronoi-cell test.  These tests make "bit-identical for
+fixed seeds" a checked property: support points and draws must match
+exactly, probabilities to 1e-15, mismatch rates exactly, and the exact CVP /
+first-minimum values must be equal as rationals.
 """
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from latdft.intlat import ExactMatrix, cvp_exact, lambda1_sq
-from latdft.sampler import brute_force_target, gaussian_spec, sample
+from latdft.sampler import QESSpec, brute_force_target, gaussian_spec, sample
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
@@ -57,3 +61,15 @@ def test_cvp_exact(case):
 @pytest.mark.parametrize("case", GOLDEN["lambda1_sq"], ids=lambda c: str(c["basis"]))
 def test_lambda1_sq(case):
     assert lambda1_sq(_matrix(case["basis"])) == Fraction(case["lambda1_sq"])
+
+
+@pytest.mark.parametrize("case", GOLDEN["decode_mismatch_rate"], ids=lambda c: f"{c['spec']}-{c['grid_radius']}")
+def test_decode_mismatch_rate(case):
+    if case["spec"] == "flat":
+        spec = QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=case["grid_radius"])
+    else:
+        spec = gaussian_spec(case["s"], grid_radius=case["grid_radius"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sample(spec, ExactMatrix.identity(2), Fraction(case["epsilon"]), shots=0, seed=0)
+    assert res.decode_mismatch_rate == case["rate"]

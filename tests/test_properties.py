@@ -1,5 +1,5 @@
-"""Property tests of the shared enumeration core, the int64 row kernels and
-the canonical L_N order.
+"""Property tests of the shared enumeration core, the int64 row kernels, the
+Voronoi-cell test and the canonical L_N order.
 
 Derandomized, so every run draws the same examples.
 """
@@ -21,6 +21,7 @@ from latdft.intlat import (
     brute_force_cvp,
     cvp_exact,
     determinant,
+    in_voronoi_cell,
     integral_rows,
     lll_reduce,
     nearest_plane,
@@ -29,6 +30,7 @@ from latdft.intlat import (
     scaled_offsets,
     sqrt_upper_bound,
     vec_sub,
+    voronoi_relevant,
 )
 from latdft.sysnf import ModVector, SysNFBasis, ln_index, ln_membership, ln_points
 
@@ -224,3 +226,88 @@ def test_row_kernel_int64_guards():
         integral_rows(ExactMatrix([[2**62, 2**62]]), np.ones((1, 2), dtype=np.int64))
     with pytest.raises(SizeGuardError):  # the common denominator itself
         integral_rows(ExactMatrix([[Fraction(1, 2**63)]]), np.ones((1, 1), dtype=np.int64))
+
+
+@st.composite
+def reduced_basis_2_to_4(draw):
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    b = ExactMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(determinant(b) != 0)
+    return lll_reduce(b)
+
+
+def _brute_force_relevant(b: ExactMatrix) -> set:
+    """Nonzero v with ||w||^2 > <w, v> for every lattice w other than 0 and v.
+
+    Only w with ||w|| <= ||v|| can fail that (Cauchy-Schwarz), and every
+    relevant v is a coset minimum of L / 2L, so ||v|| <= sum ||b_i|| = R:
+    every lattice point of norm at most R is enumerated from a padded float
+    coefficient box, and the definition is checked pairwise.
+    """
+    bf = np.array([[float(x) for x in row] for row in b.rows()])
+    radius = sum(math.sqrt(float(norm_sq(col))) for col in b.columns())
+    half = np.linalg.norm(np.linalg.inv(bf), axis=1) * radius + 2
+    axes = [np.arange(-math.ceil(h), math.ceil(h) + 1) for h in half]
+    assume(math.prod(len(a) for a in axes) <= 200_000)
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, b.ncols)
+    pts = z @ np.array([[int(x) for x in row] for row in b.rows()], dtype=np.int64).T
+    d = (pts * pts).sum(axis=1)
+    pts, d = pts[d <= radius**2 + 1e-6], d[d <= radius**2 + 1e-6]
+    gram = pts @ pts.T
+    ok = (d[:, None] > gram) | (d[:, None] == 0) | np.eye(len(pts), dtype=bool)
+    return {tuple(v) for v in pts[ok.all(axis=0) & (d > 0)].tolist()}
+
+
+@PROPS
+@given(reduced_basis_2_to_4())
+def test_voronoi_relevant_matches_definition(b):
+    rel = voronoi_relevant(b)
+    assert rel.dtype == np.int64
+    got = [tuple(v) for v in rel.tolist()]
+    assert len(got) == len(set(got)) <= 2 * (2**b.ncols - 1)
+    assert set(got) == _brute_force_relevant(b)
+
+
+def test_voronoi_relevant_skips_cosets_with_several_minimal_pairs():
+    # In Z^n the coset of a sum of k >= 2 unit vectors has 2^k minimal vectors.
+    for n in (1, 2, 3):
+        rel = voronoi_relevant(ExactMatrix.identity(n))
+        assert sorted(map(tuple, rel.tolist())) == sorted(
+            tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (-1, 1)
+        )
+
+
+def _cell_agrees_with_cvp(b: ExactMatrix, targets) -> None:
+    got = in_voronoi_cell(voronoi_relevant(b), np.array(targets, dtype=np.int64))
+    want = [cvp_exact(b, u).dist_sq == norm_sq(u) for u in targets]
+    assert got.tolist() == want
+
+
+@PROPS
+@given(reduced_basis, st.data())
+def test_voronoi_cell_matches_cvp(b, data):
+    _cell_agrees_with_cvp(b, data.draw(_int_rows(b.ncols, st.integers(-8, 8))))
+
+
+@PROPS
+@given(reduced_basis, st.data())
+def test_voronoi_cell_facet_ties(b, data):
+    # Against 2B every point B z is half a vector of 2L, so the targets with
+    # z a coset minimum of L / 2L lie exactly on a facet of the cell.
+    zs = data.draw(_int_rows(b.ncols, st.integers(-2, 2)))
+    _cell_agrees_with_cvp(b.scale(2), [[int(x) for x in b.mul_vec(z)] for z in zs])
+
+
+def test_voronoi_cell_closed_at_a_tie():
+    b = ExactMatrix([[2, 0], [0, 2]])
+    assert cvp_exact(b, (1, 0)).dist_sq == 1  # 0 and (2, 0) are both closest
+    rows = np.array([[1, 0], [1, 1], [0, -1], [2, 1], [0, 0]], dtype=np.int64)
+    assert in_voronoi_cell(voronoi_relevant(b), rows).tolist() == [True, True, True, False, True]
+
+
+def test_voronoi_cell_int64_guard():
+    rel = voronoi_relevant(ExactMatrix.identity(2))
+    assert in_voronoi_cell(rel, np.array([[2**30, 0]], dtype=np.int64)).tolist() == [False]
+    with pytest.raises(SizeGuardError):  # 2 <u, v> bound 2 n |u|^2 = 2^64
+        in_voronoi_cell(rel, np.array([[2**31, 0]], dtype=np.int64))

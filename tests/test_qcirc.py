@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from latdft import intlat, qcirc
 from latdft.dft import dft_matrix
-from latdft.errors import ConditionError, ModulusMismatchError, UncomputeError
+from latdft.errors import ConditionError, ModulusMismatchError, SizeGuardError, UncomputeError
 from latdft.qcirc import (
     Statevector,
     basis_state,
@@ -210,6 +211,16 @@ class TestCompressedPath:
     def test_invalid_basis_rejected(self):
         with pytest.raises(ConditionError):
             lattice_qft_values(SysNFBasis(4, (1,)), np.ones(4, dtype=complex))
+
+    def test_ln_guard(self, monkeypatch):
+        # |L_N| = 9: the guard fires before L_N is enumerated.
+        s, vec = SysNFBasis(9, (2,)), np.ones(9, dtype=complex) / 3
+        monkeypatch.setattr(intlat, "BOX_GUARD", 9)
+        assert abs(np.linalg.norm(lattice_qft_values(s, vec)) - 1) < 1e-12
+        monkeypatch.setattr(intlat, "BOX_GUARD", 8)
+        monkeypatch.setattr(qcirc, "ln_points", None)
+        with pytest.raises(SizeGuardError, match=r"\|L_N\| = N\^\(n-1\) = 9"):
+            lattice_qft_values(s, vec)
 
 
 class TestSnapshots:

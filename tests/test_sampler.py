@@ -114,7 +114,7 @@ class TestDiscreteDistribution:
 
 class TestSample:
     def test_constant_spectrum_concentrates_at_origin(self):
-        spec = QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=100.0, label="flat")
+        spec = QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=32, seed=5)
@@ -140,8 +140,11 @@ class TestSample:
             assert membership(B_ACCEPT, p)
         diag = res.diagnostics
         assert diag["support_points"] == len(res.distribution.points)
-        assert diag["ancilla_points"] == diag["unresolved_points"] == diag["rival_vectors"] == 0
+        assert diag["ancilla_points"] == diag["off_cell_points"] == 0
         assert 0 < diag["carrying_points"] <= res.grid_points
+        assert 2 <= diag["relevant_vectors"] <= 6  # at most 2 (2^n - 1)
+        s = res.certificate.basis
+        assert diag["lambda1_scaled_dual_sq"] == lambda1_sq(intlat.dual_basis(s.to_matrix()).scale(s.N))
 
     def test_determinism_and_seed_sensitivity(self):
         spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
@@ -192,6 +195,21 @@ class TestSample:
         with pytest.raises(ZeroMassError):
             sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=math.inf),
+            QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=math.nan),
+            QESSpec(amplitude=lambda p: np.ones(len(p)), grid_radius=-1.0),
+            QESSpec(amplitude=lambda p: np.full(len(p), np.nan), grid_radius=3.0),
+            QESSpec(amplitude=lambda p: np.full(len(p), 1e300), grid_radius=3.0),
+        ],
+        ids=["radius-inf", "radius-nan", "radius-negative", "mass-nan", "mass-overflow"],
+    )
+    def test_non_finite_spec_rejected(self, spec):
+        with pytest.raises(ParameterError), np.errstate(over="ignore"):
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=1, seed=0)
+
     def test_sub_unit_support_flagged(self):
         # The whole declared support lies inside the unit ball of the oracle's
         # space, yet the prepared grid carries mass too wide to decode.
@@ -203,8 +221,8 @@ class TestSample:
         assert res.boundedness_ok is False
         assert res.decode_mismatch_rate > 0
         diag = res.diagnostics
-        assert 0 < diag["unresolved_points"] <= diag["carrying_points"] <= res.grid_points
-        assert diag["rival_vectors"] > 0
+        assert 0 < diag["off_cell_points"] <= diag["carrying_points"] <= res.grid_points
+        assert 2 <= diag["relevant_vectors"] <= 6
 
     def test_grid_guard(self, monkeypatch):
         # |L_N| = 1026 fits the guard; the 65 x 65 residue box does not.

@@ -33,7 +33,6 @@ from latdft.sysnf import (
     ln_membership,
     phi3,
     reduce_to_sysnf,
-    round_half_away,
     scaled_dual_membership,
     validate,
 )
@@ -208,17 +207,6 @@ class TestPhi3:
     def test_invalid_basis_raises(self):
         with pytest.raises(ConditionError):
             phi3(SysNFBasis(4, (1,)), ModVector(4, (1, 0)))
-
-
-class TestRoundHalfAway:
-    def test_ties_away_from_zero(self):
-        assert round_half_away(Fraction(1, 2)) == 1
-        assert round_half_away(Fraction(-1, 2)) == -1
-        assert round_half_away(Fraction(3, 2)) == 2
-        assert round_half_away(Fraction(-3, 2)) == -2
-        assert round_half_away(Fraction(7, 5)) == 1
-        assert round_half_away(Fraction(-7, 5)) == -1
-        assert round_half_away(Fraction(0)) == 0
 
 
 class TestReduction:
