@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MembershipError, ZeroMassError
+from . import intlat
+from .errors import MembershipError, SizeGuardError, ZeroMassError
 from .sysnf import ModVector, SysNFBasis, enumerate_ln, ln_membership, ln_points
 
 DEFAULT_SIZE_GUARD = 4096
@@ -71,7 +72,8 @@ def dft_matrix(s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD) -> Character
     pts = ln_points(s)
     phases = (pts @ pts.T) % s.N
     twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N)
-    mat = twiddles[phases] / np.sqrt(len(points))
+    mat = twiddles[phases]
+    mat /= np.sqrt(len(points))
     index = {p.coords: i for i, p in enumerate(points)}
     return CharacterMatrix(s, points, mat, index)
 
@@ -90,8 +92,14 @@ def apply_dft(s: SysNFBasis, f: LatticeFunction, size_guard: int = DEFAULT_SIZE_
 
 def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
     """Independent oracle: n-dimensional N-point DFT of the L_N extension of f,
-    restricted to L_N and scaled by 1/sqrt(|L_N|)."""
+    restricted to L_N and scaled by 1/sqrt(|L_N|).
+
+    The grid holds N^n entries, N times the input; more than
+    ``intlat.BOX_GUARD`` raises :class:`SizeGuardError` before it is allocated.
+    """
     n, N = s.n, s.N
+    if N**n > intlat.BOX_GUARD:
+        raise SizeGuardError(f"full grid N^n = {N ** n} entries exceed guard {intlat.BOX_GUARD}")
     grid = np.zeros((N,) * n, dtype=complex)
     pts = ln_points(s)
     grid[tuple(pts.T)] = f.values

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ModulusMismatchError, SizeGuardError, UncomputeError
-from .sysnf import SysNFBasis, ln_index, ln_points
+from .sysnf import SysNFBasis, ln_first, ln_points
 
 SUPPORT_TOL = 1e-12
 
@@ -69,12 +69,9 @@ def step_shear(s: SysNFBasis, psi: Statevector) -> Statevector:
     """
     _check_registers(s, psi, s.n)
     grid = psi.grid()
-    out = np.empty_like(grid)
-    for x1 in range(s.N):
-        block = grid[x1]
-        for axis, bj in enumerate(s.b):
-            block = np.roll(block, shift=(bj * x1) % s.N, axis=axis)
-        out[x1] = block
+    # Gather: the output at (x_1, y) is the input at (x_1, y - b x_1 mod N).
+    x1, *tails = np.indices(grid.shape, sparse=True)
+    out = grid[(x1, *((t - bj * x1) % s.N for bj, t in zip(s.b, tails)))]
     return Statevector(s.N, s.n, out.reshape(-1))
 
 
@@ -89,7 +86,7 @@ def step_uncompute_first(s: SysNFBasis, psi: Statevector) -> Statevector:
     m = s.N ** (s.n - 1)
     flat = psi.amps.reshape(s.N, m)
     # x_1 forced by the uncompute rule for post-shear tails y: (b . y) / (b . b + 1) mod N.
-    first = ln_points(s)[:, 0] * s.condition_inverse() % s.N
+    first = ln_first(s) * s.condition_inverse() % s.N
     gathered = flat[first, np.arange(m)]
     residue = flat.copy()
     residue[first, np.arange(m)] = 0.0
@@ -105,8 +102,8 @@ def qft_mod_n(psi: Statevector, register: int) -> Statevector:
     """N-point transform with kernel exp(-2 pi i y z / N)/sqrt(N) on one register."""
     if not 0 <= register < psi.n:
         raise ValueError(f"register {register} out of range for {psi.n} registers")
-    grid = psi.grid()
-    out = np.fft.fft(grid, axis=register) / np.sqrt(psi.N)
+    out = np.fft.fft(psi.grid(), axis=register)
+    out /= np.sqrt(psi.N)
     return Statevector(psi.N, psi.n, out.reshape(-1))
 
 
@@ -115,7 +112,7 @@ def step_apply_basis(s: SysNFBasis, psi: Statevector) -> Statevector:
     _check_registers(s, psi, s.n - 1)
     m = s.N ** (s.n - 1)
     out = np.zeros((s.N, m), dtype=complex)
-    out[ln_points(s)[:, 0], np.arange(m)] = psi.amps
+    out[ln_first(s), np.arange(m)] = psi.amps
     return Statevector(s.N, s.n, out.reshape(-1))
 
 
@@ -123,7 +120,7 @@ def lattice_membership_mask(s: SysNFBasis) -> np.ndarray:
     """Boolean mask over the full N^n index selecting the L_N basis states."""
     m = s.N ** (s.n - 1)
     mask = np.zeros((s.N, m), dtype=bool)
-    mask[ln_points(s)[:, 0], np.arange(m)] = True
+    mask[ln_first(s), np.arange(m)] = True
     return mask.reshape(-1)
 
 
@@ -161,13 +158,36 @@ def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
     return worst
 
 
+def shear_index(s: SysNFBasis) -> np.ndarray:
+    """Canonical L_N index of the sheared tail y = (I + b b^T) t mod N, for every tail t.
+
+    Shear followed by uncompute, as one map on tails: y_j = t_j + b_j x_1 with
+    x_1 = b . t mod N.  The result is an int64 array in the canonical order of
+    the tails t; it is a permutation of range(N^(n-1)) exactly when the basis is valid.
+    """
+    k = s.n - 1
+    x1 = ln_first(s).reshape((s.N,) * k)
+    index = np.zeros_like(x1)
+    y = np.empty_like(x1)
+    # No int64 overflow: b_j x_1 + t_j < N^2 and index < N^(n-1), and the
+    # guard in lattice_qft_values keeps N <= N^(n-1) <= BOX_GUARD, so N^2 < 2^63.
+    for bj, t in zip(s.b, np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
+        np.multiply(x1, bj, out=y)
+        y += t
+        y %= s.N
+        index *= s.N
+        index += y
+    return index.reshape(-1)
+
+
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     """Circuit action restricted to the L_N subspace, in compressed form.
 
     Input and output are length-|L_N| arrays in the canonical point order
     (lexicographic tails).  Equivalent to simulate_sysnf_qft on the embedded
-    state but needs only N^(n-1) memory, which is what the sampler requires
-    for the large moduli produced by basis reduction.
+    state, but the working set is one complex |L_N| array (the output) plus
+    one int64 |L_N| index, which is what the sampler requires for the large
+    moduli produced by basis reduction.
     """
     m = s.N ** (s.n - 1)
     if m > intlat.BOX_GUARD:
@@ -175,13 +195,14 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
     s.condition_inverse()  # the compressed shear is a permutation only when valid
-    pts = ln_points(s)
-    # Shear + uncompute: tail x goes to y with y_j = x_j + b_j x_1.
-    y = (pts[:, 1:] + pts[:, :1] * np.array(s.b, dtype=np.int64)[None, :]) % s.N
-    sheared = np.zeros(m, dtype=complex)
-    sheared[ln_index(s, y)] = values
-    grid = np.fft.fftn(sheared.reshape((s.N,) * (s.n - 1))) / np.sqrt(m)
-    return grid.reshape(-1)
+    index = shear_index(s)
+    out = np.zeros(m, dtype=complex)
+    out[index] = values
+    del index
+    grid = out.reshape((s.N,) * (s.n - 1))
+    np.fft.fftn(grid, out=grid)
+    out /= np.sqrt(m)
+    return out
 
 
 # -- snapshots -----------------------------------------------------------------

@@ -185,11 +185,25 @@ def ln_points(s: SysNFBasis) -> np.ndarray:
     # Coordinate-major storage: each column is contiguous, and the sparse
     # index grids broadcast straight into it without a full-size temporary.
     cols = np.empty((s.n,) + (s.N,) * k, dtype=np.int64)
+    cols[0] = ln_first(s).reshape((s.N,) * k)
     for i, axis in enumerate(np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
         cols[1 + i] = axis
-    cols = cols.reshape(s.n, s.N**k)
-    cols[0] = np.array(s.b, dtype=np.int64) @ cols[1:] % s.N
-    return cols.T
+    return cols.reshape(s.n, s.N**k).T
+
+
+def ln_first(s: SysNFBasis) -> np.ndarray:
+    """Column 0 of :func:`ln_points`: x_1 = b . tail mod N for every tail, as int64.
+
+    Accumulated from broadcast sparse index grids, so the only full-size array
+    is the result.  Entries stay below (n-1) N^2, which int64 holds for every
+    N with N^(n-1) <= intlat.BOX_GUARD.
+    """
+    k = s.n - 1
+    x1 = np.zeros((s.N,) * k, dtype=np.int64)
+    for bj, axis in zip(s.b, np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
+        x1 += bj * axis
+    x1 %= s.N
+    return x1.reshape(-1)
 
 
 def ln_index(s: SysNFBasis, tails: np.ndarray) -> np.ndarray:

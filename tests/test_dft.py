@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from latdft import intlat
 from latdft.dft import (
     CharacterMatrix,
     LatticeFunction,
@@ -119,6 +120,15 @@ class TestApplyDft:
             lhs = apply_dft(s, f).values
             rhs = full_grid_dft_restricted(s, f)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_full_grid_guard(self, monkeypatch):
+        # The grid has N^n = 25 entries, five times the input.
+        f = LatticeFunction(S5, np.ones(5, dtype=complex))
+        monkeypatch.setattr(intlat, "BOX_GUARD", 25)
+        assert np.abs(full_grid_dft_restricted(S5, f) - apply_dft(S5, f).values).max() < 1e-12
+        monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+        with pytest.raises(SizeGuardError, match=r"N\^n = 25"):
+            full_grid_dft_restricted(S5, f)
 
     def test_basis_mismatch(self):
         f = LatticeFunction(S5, np.ones(5, dtype=complex))

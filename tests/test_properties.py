@@ -1,5 +1,5 @@
 """Property tests of the shared enumeration core, the int64 row kernels, the
-Voronoi-cell test and the canonical L_N order.
+Voronoi-cell test, the canonical L_N order and the compressed lattice QFT.
 
 Derandomized, so every run draws the same examples.
 """
@@ -32,6 +32,8 @@ from latdft.intlat import (
     vec_sub,
     voronoi_relevant,
 )
+from latdft.dft import LatticeFunction, dft_matrix, full_grid_dft_restricted
+from latdft.qcirc import lattice_qft_values, shear_index
 from latdft.sysnf import ModVector, SysNFBasis, ln_index, ln_membership, ln_points
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -311,3 +313,42 @@ def test_voronoi_cell_int64_guard():
     assert in_voronoi_cell(rel, np.array([[2**30, 0]], dtype=np.int64)).tolist() == [False]
     with pytest.raises(SizeGuardError):  # 2 <u, v> bound 2 n |u|^2 = 2^64
         in_voronoi_cell(rel, np.array([[2**31, 0]], dtype=np.int64))
+
+
+# Largest N per dimension n that keeps |L_N| = N^(n-1) at about 2000 or less.
+_LN_CAP = {2: 2000, 3: 44, 4: 12}
+
+
+@st.composite
+def sysnf_basis(draw):
+    n = draw(st.integers(2, 4))
+    big_n = draw(st.integers(1, _LN_CAP[n]))
+    b = draw(st.lists(st.integers(0, big_n - 1), min_size=n - 1, max_size=n - 1))
+    return SysNFBasis(big_n, tuple(b))
+
+
+def _shear_index_oracle(s: SysNFBasis) -> np.ndarray:
+    pts = ln_points(s)
+    return ln_index(s, (pts[:, 1:] + pts[:, :1] * np.array(s.b, dtype=np.int64)) % s.N)
+
+
+@PROPS
+@given(sysnf_basis())
+def test_shear_index_permutes_exactly_when_valid(s):
+    index = shear_index(s)
+    assert index.dtype == np.int64
+    assert np.array_equal(index, _shear_index_oracle(s))
+    # (I + b b^T) is invertible mod N iff det = 1 + |b|^2 is a unit mod N.
+    assert np.array_equal(np.sort(index), np.arange(s.N ** (s.n - 1))) == s.is_valid
+
+
+@PROPS
+@given(sysnf_basis().filter(lambda s: s.is_valid), st.integers(0, 2**32 - 1))
+def test_lattice_qft_values_equals_dense_dft(s, seed):
+    m = s.N ** (s.n - 1)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v /= np.linalg.norm(v)
+    out = lattice_qft_values(s, v)
+    assert np.abs(out - dft_matrix(s).matrix @ v).max() <= 1e-10
+    assert np.abs(out - full_grid_dft_restricted(s, LatticeFunction(s, v))).max() <= 1e-10

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,21 @@ class TestShear:
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatchError):
             step_shear(S5, basis_state(7, 2, (0, 0)))
+
+    @pytest.mark.parametrize(
+        "s", [S5, SysNFBasis(4, (1,)), SysNFBasis(5, (1, 2)), SysNFBasis(3, (1, 2, 0))]
+    )
+    def test_matches_roll_reference(self, s):
+        # Reference: roll each x_1 block along every tail axis j by b_j x_1.
+        psi = random_state(np.random.default_rng(3), s.N, s.n)
+        grid = psi.grid()
+        want = np.empty_like(grid)
+        for x1 in range(s.N):
+            block = grid[x1]
+            for axis, bj in enumerate(s.b):
+                block = np.roll(block, shift=bj * x1 % s.N, axis=axis)
+            want[x1] = block
+        assert np.array_equal(step_shear(s, psi).amps, want.reshape(-1))
 
 
 class TestUncompute:
@@ -213,14 +230,30 @@ class TestCompressedPath:
             lattice_qft_values(SysNFBasis(4, (1,)), np.ones(4, dtype=complex))
 
     def test_ln_guard(self, monkeypatch):
-        # |L_N| = 9: the guard fires before L_N is enumerated.
+        # |L_N| = 9: the guard fires before the first |L_N|-sized array, x_1.
         s, vec = SysNFBasis(9, (2,)), np.ones(9, dtype=complex) / 3
         monkeypatch.setattr(intlat, "BOX_GUARD", 9)
         assert abs(np.linalg.norm(lattice_qft_values(s, vec)) - 1) < 1e-12
         monkeypatch.setattr(intlat, "BOX_GUARD", 8)
-        monkeypatch.setattr(qcirc, "ln_points", None)
+        monkeypatch.setattr(qcirc, "ln_first", None)
         with pytest.raises(SizeGuardError, match=r"\|L_N\| = N\^\(n-1\) = 9"):
             lattice_qft_values(s, vec)
+
+    @pytest.mark.parametrize(
+        "s", [SysNFBasis(130817, (5,)), SysNFBasis(257, (3, 7)), SysNFBasis(41, (2, 3, 5))]
+    )
+    def test_working_set(self, s):
+        # The output (16 bytes a point) and the int64 shear index (8) is 1.5x
+        # the output; the bound leaves room for FFT scratch, not for a copy.
+        vec = np.ones(s.N ** (s.n - 1), dtype=complex)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lattice_qft_values(s, vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2.5 * out.nbytes
 
 
 class TestSnapshots:
