@@ -6,6 +6,14 @@ or over int64 arrays under a bound checked before they are built; nothing
 in this module rounds.  Operations that need floating point (statevectors,
 DFT matrices) live elsewhere and convert at the boundary.
 
+The scalar kernels are fraction-free.  An ``ExactMatrix`` keeps its integer
+form D A and one Bareiss elimination pass (det, adj) of it, both computed on
+first use; ``inverse``, ``solve``, ``determinant``, ``membership``,
+``coefficients_in_basis``, ``mul_vec`` and ``box_points`` read them in
+integer arithmetic, and ``lll_reduce`` holds its Gram-Schmidt data as
+integers.  ``gram_schmidt``, ``nearest_plane``, ``is_size_reduced`` and
+``satisfies_lovasz`` stay in Fraction arithmetic, as oracles.
+
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
 build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
 ``nearest_plane_rows`` runs Babai's nearest plane on every target row,
@@ -13,7 +21,7 @@ build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
 ``in_voronoi_cell`` tests every row against the ``voronoi_relevant``
 vectors.  Each derives an a-priori magnitude bound from its inputs with
 Python integers and raises ``SizeGuardError`` before computing if any
-intermediate could overflow int64.  The scalar Fraction routines they batch
+intermediate could overflow int64.  The scalar routines they batch
 (``nearest_plane``, ``ExactMatrix.mul_vec``, ``membership``, ``cvp_exact``)
 stay as their test oracles.
 """
@@ -76,7 +84,7 @@ def sqrt_upper_bound(r: Fraction) -> Fraction:
 class ExactMatrix:
     """Immutable matrix with arbitrary-precision rational entries."""
 
-    __slots__ = ("_rows", "_nrows", "_ncols")
+    __slots__ = ("_rows", "_nrows", "_ncols", "_ints", "_adj")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -88,6 +96,8 @@ class ExactMatrix:
         self._rows = data
         self._nrows = len(data)
         self._ncols = width
+        self._ints = None  # (D, rows of D * self), built on first use
+        self._adj = None  # (det, adj) of D * self, built on first use
 
     # -- construction -----------------------------------------------------
 
@@ -154,10 +164,16 @@ class ExactMatrix:
         )
 
     def mul_vec(self, v: Sequence) -> Vec:
+        y, den = self.mul_vec_scaled(v)
+        return tuple(Fraction(x, den) for x in y)
+
+    def mul_vec_scaled(self, v: Sequence) -> tuple[list[int], int]:
+        """Integers y and a positive integer d with self @ v = y / d, in integer arithmetic."""
         if len(v) != self._ncols:
             raise ValueError("dimension mismatch")
-        vf = [Fraction(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vf)) for row in self._rows)
+        e, w = vec_integer_form(v)
+        den, rows = self.integer_form()
+        return [sum(a * b for a, b in zip(row, w)) for row in rows], den * e
 
     def scale(self, c) -> "ExactMatrix":
         c = Fraction(c)
@@ -166,28 +182,92 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self._rows)))
 
-    def inverse(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+    # -- the fraction-free kernels -----------------------------------------
+    #
+    # The matrix is immutable, so its integer form and the one elimination
+    # pass below are computed on first use and kept: inverse, solve,
+    # determinant, membership and coefficients_in_basis all read them.
+
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows of D * self) with D the least common denominator of the entries."""
+        if self._ints is None:
+            den = math.lcm(*(x.denominator for row in self._rows for x in row))
+            rows = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in self._rows
+            )
+            self._ints = (den, rows)
+        return self._ints
+
+    def _det_adj(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+        """(det M, adj M) of the square integer form M = D * self; adj is None when det is 0.
+
+        One fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968)
+        on [M | I]: each step cross-multiplies by the pivot and divides
+        exactly by the previous pivot, so every entry stays an integer minor.
+        It ends at [p I | X] with M X = p I and p = +-det M.
+        """
+        if self._adj is None:
+            n = self._nrows
+            rows = self.integer_form()[1]
+            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+            prev, sign = 1, 1
+            for k in range(n):
+                piv = next((r for r in range(k, n) if aug[r][k]), None)
+                if piv is None:
+                    self._adj = (0, None)
+                    return self._adj
+                if piv != k:
+                    aug[k], aug[piv] = aug[piv], aug[k]
+                    sign = -sign
+                top = aug[k]
+                p = top[k]
+                for i in range(n):
+                    if i != k:
+                        f = aug[i][k]
+                        aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], top)]
+                prev = p
+            self._adj = (sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug))
+        return self._adj
+
+    def _adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det M, adj M) of the integer form; RankError unless it is invertible."""
         if not self.is_square:
             raise RankError("inverse requires a square matrix")
-        n = self._nrows
-        aug = [list(self._rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise RankError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
+        det, adj = self._det_adj()
+        if adj is None:
+            raise RankError("matrix is singular")
+        return det, adj
+
+    def _solve_scaled(self, v: Sequence) -> tuple[list[int], int]:
+        """Integers y and a positive integer d with self @ (y / d) = v."""
+        det, adj = self._adjugate()
+        if len(v) != self._ncols:
+            raise ValueError("dimension mismatch")
+        # self^-1 = D adj(M) / det(M), and v = w / e.
+        e, w = vec_integer_form(v)
+        den = self.integer_form()[0]
+        y = [den * sum(a * b for a, b in zip(row, w)) for row in adj]
+        if det < 0:
+            return [-x for x in y], -det * e
+        return y, det * e
+
+    def inverse(self) -> "ExactMatrix":
+        """Exact inverse, D adj(M) / det(M) from the kept elimination pass."""
+        det, adj = self._adjugate()
+        den = self.integer_form()[0]
+        return ExactMatrix([[Fraction(den * x, det) for x in row] for row in adj])
 
     def solve(self, v: Sequence) -> Vec:
         """Exact solution x of self @ x = v."""
-        return self.inverse().mul_vec(v)
+        y, den = self._solve_scaled(v)
+        return tuple(Fraction(x, den) for x in y)
+
+
+def vec_integer_form(v: Sequence) -> tuple[int, list[int]]:
+    """(e, w): the least positive integer e and the integer vector w with v = w / e."""
+    f = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    e = math.lcm(*(x.denominator for x in f))
+    return e, [x.numerator * (e // x.denominator) for x in f]
 
 
 # -- text format -------------------------------------------------------------
@@ -232,22 +312,7 @@ def determinant(m: ExactMatrix):
     """Exact signed determinant; returns int for integer-valued results."""
     if not m.is_square:
         raise RankError("determinant requires a square matrix")
-    n = m.nrows
-    a = [list(m.row(i)) for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    det = Fraction(m._det_adj()[0], m.integer_form()[0] ** m.nrows)
     return int(det) if det.denominator == 1 else det
 
 
@@ -347,16 +412,17 @@ def dual_basis(b: ExactMatrix) -> ExactMatrix:
 
 
 def membership(b: ExactMatrix, v: Sequence) -> bool:
-    """True iff v lies in the column-span lattice of b."""
-    return all(x.denominator == 1 for x in b.solve(v))
+    """True iff v lies in the column-span lattice of b: adj(B) v = 0 (mod det B)."""
+    y, den = b._solve_scaled(v)
+    return all(x % den == 0 for x in y)
 
 
 def coefficients_in_basis(b: ExactMatrix, v: Sequence) -> tuple[int, ...]:
     """Integer coefficients z with b @ z = v; raises if v is not a lattice point."""
-    z = b.solve(v)
-    if any(x.denominator != 1 for x in z):
+    y, den = b._solve_scaled(v)
+    if any(x % den for x in y):
         raise MembershipError(f"{tuple(v)} is not in the lattice")
-    return tuple(int(x) for x in z)
+    return tuple(x // den for x in y)
 
 
 # -- Gram-Schmidt ---------------------------------------------------------------
@@ -402,10 +468,13 @@ def gram_schmidt(b: ExactMatrix) -> GramSchmidtData:
 
 
 def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
-    """LLL reduction of an integer column basis in exact rational arithmetic.
+    """LLL reduction of an integer column basis in exact integer arithmetic.
 
     The output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with the given delta.
+    satisfies the Lovasz condition with the given delta.  The Gram-Schmidt
+    data is held integrally (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    columns and lam[i][j] = d[j+1] mu_ij, updated in place on each swap.
     """
     _require_square_integer(b, "lll_reduce")
     delta = Fraction(delta)
@@ -413,28 +482,50 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
         raise ValueError("delta must lie in (1/4, 1]")
     n = b.ncols
     cols = [list(map(int, b.column(j))) for j in range(n)]
-
-    def gso():
-        gs = gram_schmidt(ExactMatrix.from_columns(cols))
-        return gs.orthogonal, [list(r) for r in gs.mu]
-
-    ortho, mu = gso()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(cols[i], cols[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise RankError("linearly dependent columns")
+            else:
+                d[i + 1] = u
+    p, q = delta.numerator, delta.denominator
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+            c = _round_half_even(lam[k][j], d[j + 1])
+            if c:
+                cols[k] = [x - c * y for x, y in zip(cols[k], cols[j])]
                 for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if norm_sq(ortho[k]) >= (delta - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
+                    lam[k][t] -= c * lam[j][t]
+                lam[k][j] -= c * d[j + 1]
+        # ||b*_k||^2 >= (delta - mu^2) ||b*_{k-1}||^2, times q d[k] d[k-1].
+        m = lam[k][k - 1]
+        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
             k += 1
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
-            ortho, mu = gso()
+            lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+            new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+            d[k] = new
             k = max(k - 1, 1)
     return ExactMatrix.from_columns(cols)
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0: nearest integer, ties to even."""
+    f, r = divmod(num, den)
+    return f + (2 * r > den or (2 * r == den and f % 2 == 1))
 
 
 def is_size_reduced(b: ExactMatrix) -> bool:
@@ -498,12 +589,14 @@ def box_points(b: ExactMatrix, center: Sequence, radius) -> np.ndarray:
     int64 in lexicographic order, the tie-break order of the CVP oracles.
     Raises SizeGuardError before allocating a box larger than BOX_GUARD.
     """
-    binv = b.inverse()
-    zc = binv.mul_vec(center)
+    zc = b.solve(center)
+    det, adj = b._adjugate()
+    den = b.integer_form()[0]
     radius = Fraction(radius)
     bounds = []
-    for i in range(b.ncols):
-        slack = sqrt_upper_bound(norm_sq(binv.row(i))) * radius
+    for i, row in enumerate(adj):
+        # row_i(B^-1) = D row_i(adj M) / det M
+        slack = sqrt_upper_bound(Fraction(den * den * sum(x * x for x in row), det * det)) * radius
         bounds.append((math.floor(zc[i] - slack), math.ceil(zc[i] + slack)))
     return lex_box(bounds)
 
@@ -513,10 +606,11 @@ def scaled_offsets(b: ExactMatrix, z: np.ndarray, center: Sequence) -> tuple[np.
 
     Raises SizeGuardError unless every squared row norm provably fits int64.
     """
-    c = as_fraction_vec(center)
-    den = math.lcm(*(x.denominator for x in c), *(x.denominator for r in b.rows() for x in r))
-    bd = [[int(x * den) for x in row] for row in b.rows()]
-    cd = [int(x * den) for x in c]
+    e, cd = vec_integer_form(center)
+    d_b, rows = b.integer_form()
+    den = math.lcm(e, d_b)
+    bd = [[x * (den // d_b) for x in row] for row in rows]
+    cd = [x * (den // e) for x in cd]
     zmax = int(np.abs(z).max()) if len(z) else 0
     reach = max(sum(abs(x) for x in row) * zmax + abs(ci) for row, ci in zip(bd, cd))
     if len(cd) * reach * reach >= _INT64_LIMIT:
@@ -577,8 +671,7 @@ def integral_rows(m: ExactMatrix, rows: np.ndarray) -> np.ndarray:
     image is integral exactly when D divides it.  Raises SizeGuardError
     unless every product provably fits int64.
     """
-    den = math.lcm(*(x.denominator for r in m.rows() for x in r))
-    md = [[int(x * den) for x in row] for row in m.rows()]
+    den, md = m.integer_form()
     rows = np.asarray(rows, dtype=np.int64)
     reach = max(_max_abs(rows), 1) * max(sum(abs(x) for x in row) for row in md)
     if max(reach, den) >= _INT64_LIMIT:
@@ -674,8 +767,8 @@ def lambda1_sq(b: ExactMatrix) -> Fraction:
     the box is the true lambda_1.  Rational bases are scaled to integers
     first; lengths scale uniformly.
     """
-    den = math.lcm(*[x.denominator for row in b.rows() for x in row])
-    red = lll_reduce(b.scale(den))
+    den, rows = b.integer_form()
+    red = lll_reduce(ExactMatrix(rows))
     origin = (0,) * red.ncols
     z = box_points(red, origin, sqrt_upper_bound(norm_sq(red.column(0))))
     pts, _ = scaled_offsets(red, z, origin)

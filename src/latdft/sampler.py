@@ -37,7 +37,7 @@ from .intlat import (
     voronoi_relevant,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ReductionCertificate, ln_index, ln_points, reduce_to_sysnf
+from .sysnf import ReductionCertificate, ln_first, ln_index, reduce_to_sysnf
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
@@ -311,8 +311,9 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # heaviest point always survives.
     keep_idx = np.flatnonzero(probs >= PRUNE_MASS * total_prob / len(probs))
     kept = probs[keep_idx] / probs[keep_idx].sum()
+    # The kept rows of ln_points(s), built without the whole table.
+    w = np.column_stack([ln_first(s)[keep_idx], *np.unravel_index(keep_idx, (big_n,) * (n - 1))])
     # Centred representatives in (-N/2, N/2] go through sigma^-1 and must land in L(B).
-    w = ln_points(s)[keep_idx]
     points = integral_rows(cert.sigma_inverse, np.where(w > big_n // 2, w - big_n, w))
     try:
         integral_rows(b.inverse(), points)

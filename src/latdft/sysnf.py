@@ -33,15 +33,7 @@ from .errors import (
     SizeGuardError,
     StructureError,
 )
-from .intlat import (
-    ExactMatrix,
-    Vec,
-    as_fraction_vec,
-    hnf,
-    norm_sq,
-    sqrt_upper_bound,
-    vec_sub,
-)
+from .intlat import ExactMatrix, hnf, norm_sq, sqrt_upper_bound, vec_integer_form
 
 DELTA_SEARCH_CAP = 2**20
 SCALE_CAP = 2**512
@@ -260,7 +252,9 @@ class ReductionCertificate:
     ``sigma`` maps input-lattice vectors to output-lattice vectors exactly;
     for every v in L(B), sigma(v) is in L(basis) and ||sigma(v)/T - v|| is at
     most epsilon * ||v||.  ``delta`` is the offset added to the would-be
-    modulus to reach a coprime one.
+    modulus to reach a coprime one.  ``apply_sigma``, ``apply_sigma_inverse``
+    and ``relative_error_holds`` compute in integers, on the integer forms
+    that sigma and its inverse keep.
     """
 
     basis: SysNFBasis
@@ -274,22 +268,23 @@ class ReductionCertificate:
         return self.sigma.inverse()
 
     def apply_sigma(self, v: Sequence) -> tuple[int, ...]:
-        w = self.sigma.mul_vec(v)
-        if any(x.denominator != 1 for x in w):
-            raise ValueError(f"sigma({tuple(v)}) is not an integer vector")
-        return tuple(int(x) for x in w)
+        return _integral_image(self.sigma, v, "sigma")
 
     def apply_sigma_inverse(self, w: Sequence) -> tuple[int, ...]:
-        v = self.sigma_inverse.mul_vec(w)
-        if any(x.denominator != 1 for x in v):
-            raise ValueError(f"sigma^-1({tuple(w)}) is not an integer vector")
-        return tuple(int(x) for x in v)
+        return _integral_image(self.sigma_inverse, w, "sigma^-1")
 
     def relative_error_holds(self, v: Sequence) -> bool:
-        """Exact check of ||sigma(v)/T - v||^2 <= epsilon^2 ||v||^2."""
-        vf = as_fraction_vec(v)
-        w = [Fraction(x, self.T) for x in self.apply_sigma(v)]
-        return norm_sq(vec_sub(w, vf)) <= self.epsilon**2 * norm_sq(vf)
+        """Exact check of ||sigma(v)/T - v||^2 <= epsilon^2 ||v||^2.
+
+        With v = u / e and epsilon = p / q, in integers:
+        q^2 ||e sigma(v) - T u||^2 <= p^2 T^2 ||u||^2.
+        """
+        w = self.apply_sigma(v)
+        e, u = vec_integer_form(v)
+        t = self.T
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        err = sum((e * a - t * b) ** 2 for a, b in zip(w, u))
+        return q * q * err <= p * p * t * t * sum(x * x for x in u)
 
     def to_json(self) -> str:
         payload = {
@@ -309,6 +304,14 @@ class ReductionCertificate:
         basis = SysNFBasis(int(d["N"]), tuple(int(x) for x in d["b"]))
         sigma = ExactMatrix([[Fraction(x) for x in row] for row in d["sigma"]])
         return cls(basis, sigma, int(d["T"]), int(d["delta"]), Fraction(d["epsilon"]))
+
+
+def _integral_image(m: ExactMatrix, v: Sequence, name: str) -> tuple[int, ...]:
+    """m @ v as integers, in integer arithmetic; ValueError if it is not integral."""
+    y, den = m.mul_vec_scaled(v)
+    if any(x % den for x in y):
+        raise ValueError(f"{name}({tuple(v)}) is not an integer vector")
+    return tuple(x // den for x in y)
 
 
 def _rotation_to_front(n: int) -> ExactMatrix:

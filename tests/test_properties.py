@@ -1,5 +1,6 @@
 """Property tests of the shared enumeration core, the int64 row kernels, the
-Voronoi-cell test, the canonical L_N order and the compressed lattice QFT.
+Voronoi-cell test, the canonical L_N order, the compressed lattice QFT, HNF,
+LLL, the reduction certificate and the coset bijection phi3.
 
 Derandomized, so every run draws the same examples.
 """
@@ -21,12 +22,17 @@ from latdft.intlat import (
     brute_force_cvp,
     cvp_exact,
     determinant,
+    hnf,
     in_voronoi_cell,
     integral_rows,
+    is_hnf,
+    is_size_reduced,
     lll_reduce,
+    membership,
     nearest_plane,
     nearest_plane_rows,
     norm_sq,
+    satisfies_lovasz,
     scaled_offsets,
     sqrt_upper_bound,
     vec_sub,
@@ -34,7 +40,17 @@ from latdft.intlat import (
 )
 from latdft.dft import LatticeFunction, dft_matrix, full_grid_dft_restricted
 from latdft.qcirc import lattice_qft_values, shear_index
-from latdft.sysnf import ModVector, SysNFBasis, ln_index, ln_membership, ln_points
+from latdft.sysnf import (
+    ModVector,
+    SysNFBasis,
+    enumerate_scaled_dual,
+    ln_index,
+    ln_membership,
+    ln_points,
+    phi3,
+    reduce_to_sysnf,
+    validate,
+)
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -352,3 +368,81 @@ def test_lattice_qft_values_equals_dense_dft(s, seed):
     out = lattice_qft_values(s, v)
     assert np.abs(out - dft_matrix(s).matrix @ v).max() <= 1e-10
     assert np.abs(out - full_grid_dft_restricted(s, LatticeFunction(s, v))).max() <= 1e-10
+
+
+@st.composite
+def integer_basis(draw, lo=2, hi=4, bound=6):
+    n = draw(st.integers(lo, hi))
+    entry = st.integers(-bound, bound)
+    b = ExactMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(determinant(b) != 0)
+    return b
+
+
+@st.composite
+def basis_and_unimodular(draw):
+    """A basis and a random product of column shears and sign flips."""
+    b = draw(integer_basis())
+    n = b.ncols
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, q in draw(st.lists(steps, max_size=10)):
+        for row in u:
+            row[j] = row[j] + q * row[i] if i != j else -row[j]
+    return b, ExactMatrix(u)
+
+
+@PROPS
+@given(basis_and_unimodular())
+def test_hnf_invariant_under_unimodular_transforms(bu):
+    b, u = bu
+    assert abs(determinant(u)) == 1
+    h, v = hnf(b @ u)
+    assert is_hnf(h) and b @ u @ v == h
+    assert h == hnf(b)[0]
+
+
+@PROPS
+@given(integer_basis(), st.sampled_from([Fraction(3, 4), Fraction(99, 100), Fraction(1), Fraction(1, 3)]))
+def test_lll_output_reduced_and_same_lattice(b, delta):
+    red = lll_reduce(b, delta)
+    assert is_size_reduced(red)
+    assert satisfies_lovasz(red, delta)
+    assert hnf(red)[0] == hnf(b)[0]
+
+
+@PROPS
+@given(
+    integer_basis(hi=3, bound=9),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 16), Fraction(1, 256)]),
+    st.lists(st.lists(st.integers(-100, 100), min_size=3, max_size=3), min_size=1, max_size=8),
+)
+def test_reduction_certificate_holds_on_random_bases(b, eps, coeffs):
+    cert = reduce_to_sysnf(b, eps)
+    bprime = validate(cert.basis.to_matrix()).to_matrix()
+    for c in coeffs:
+        v = b.mul_vec(c[: b.ncols])
+        w = cert.apply_sigma(v)
+        assert membership(bprime, w)
+        assert cert.relative_error_holds(v)
+        # The same bound, restated in Fractions.
+        assert norm_sq(vec_sub([Fraction(x, cert.T) for x in w], v)) <= eps**2 * norm_sq(v)
+        assert cert.apply_sigma_inverse(w) == tuple(int(x) for x in v)
+
+
+@PROPS
+@given(sysnf_basis().filter(lambda s: s.is_valid), st.data())
+def test_phi3_is_a_bijection_onto_the_scaled_dual(s, data):
+    # (a, 0, ..., 0) for a in Z_N is one representative of each coset of L_N.
+    tail = data.draw(st.lists(st.integers(0, s.N - 1), min_size=s.n - 1, max_size=s.n - 1))
+    shift = ModVector(s.N, (s.first_coordinate(tail), *tail))
+    assert ln_membership(s, shift)
+    images = []
+    for a in range(s.N):
+        x = ModVector(s.N, (a,) + (0,) * (s.n - 1))
+        y = phi3(s, x)
+        assert ln_membership(s, x + y)
+        assert phi3(s, x + shift) == y  # constant on the coset
+        images.append(y.coords)
+    assert sorted(images) == sorted(y.coords for y in enumerate_scaled_dual(s))
+    assert len(set(images)) == s.N
