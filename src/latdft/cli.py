@@ -7,8 +7,6 @@ SysNF input or similar), 3 invariant failure in selftest.
 All randomness flows from a single 64-bit seed through numpy's default
 PCG64 generator, so runs are reproducible bit for bit; summary documents
 embed a hash of the effective configuration together with that seed.
-The environment variable LATDFT_THREADS caps internal (BLAS/FFT) parallelism
-and is applied before the numeric modules load.
 """
 
 from __future__ import annotations
@@ -16,19 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LATDFT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _config_hash(payload) -> str:
@@ -332,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,9 +10,10 @@ The scalar kernels are fraction-free.  An ``ExactMatrix`` keeps its integer
 form D A and one Bareiss elimination pass (det, adj) of it, both computed on
 first use; ``inverse``, ``solve``, ``determinant``, ``membership``,
 ``coefficients_in_basis``, ``mul_vec`` and ``box_points`` read them in
-integer arithmetic, and ``lll_reduce`` holds its Gram-Schmidt data as
-integers.  ``gram_schmidt``, ``nearest_plane``, ``is_size_reduced`` and
-``satisfies_lovasz`` stay in Fraction arithmetic, as oracles.
+integer arithmetic.  ``lll_reduce`` holds its Gram-Schmidt data as integers,
+and ``nearest_plane`` runs Babai's rounding on the same integral data.
+``gram_schmidt``, ``is_size_reduced`` and ``satisfies_lovasz`` stay in
+Fraction arithmetic, as oracles.
 
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
 build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
@@ -165,6 +166,8 @@ class ExactMatrix:
 
     def mul_vec(self, v: Sequence) -> Vec:
         y, den = self.mul_vec_scaled(v)
+        if den == 1:
+            return tuple(Fraction(x) for x in y)
         return tuple(Fraction(x, den) for x in y)
 
     def mul_vec_scaled(self, v: Sequence) -> tuple[list[int], int]:
@@ -266,8 +269,11 @@ class ExactMatrix:
 def vec_integer_form(v: Sequence) -> tuple[int, list[int]]:
     """(e, w): the least positive integer e and the integer vector w with v = w / e."""
     f = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    e = math.lcm(*(x.denominator for x in f))
-    return e, [x.numerator * (e // x.denominator) for x in f]
+    dens = [x.denominator for x in f]
+    e = math.lcm(*dens)
+    if e == 1:
+        return 1, [x.numerator for x in f]
+    return e, [x.numerator * (e // q) for x, q in zip(f, dens)]
 
 
 # -- text format -------------------------------------------------------------
@@ -482,19 +488,7 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
         raise ValueError("delta must lie in (1/4, 1]")
     n = b.ncols
     cols = [list(map(int, b.column(j))) for j in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(cols[i], cols[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise RankError("linearly dependent columns")
-            else:
-                d[i + 1] = u
+    d, lam = _integral_gram(cols)
     p, q = delta.numerator, delta.denominator
     k = 1
     while k < n:
@@ -520,6 +514,40 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
             d[k] = new
             k = max(k - 1, 1)
     return ExactMatrix.from_columns(cols)
+
+
+def _integral_gram(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of integer columns; RankError if dependent.
+
+    d[i] is the Gram determinant of the first i columns and lam[i][j] =
+    d[j+1] mu_ij for j < i, both integers (Cohen, Alg. 2.6.7).
+    """
+    n = len(cols)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        # mu_ii = 1, so the recurrence's last entry is d[i+1] itself.
+        _integral_projections(cols[i], cols[: i + 1], d, lam, lam[i])
+        d[i + 1], lam[i][i] = lam[i][i], 0
+        if d[i + 1] == 0:
+            raise RankError("linearly dependent columns")
+    return d, lam
+
+
+def _integral_projections(
+    v: Sequence[int], cols: Sequence[Sequence[int]], d: list[int], lam: list[list[int]], row: list[int]
+) -> None:
+    """Set row[j] = d[j+1] mu_vj = d[j+1] <v, b*_j> / ||b*_j||^2 for each j < len(cols).
+
+    Each value is an integer, reached by exact divisions.  lam[j][:j] must
+    hold column j's coefficients; when v is cols[-1], that last lam[j] is
+    row itself, whose entries the loop fills before it reads them.
+    """
+    for j, col in enumerate(cols):
+        s = sum(x * y for x, y in zip(v, col))
+        for t in range(j):
+            s = (d[t + 1] * s - row[t] * lam[j][t]) // d[t]
+        row[j] = s
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -548,22 +576,35 @@ def satisfies_lovasz(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
 # -- Babai nearest plane ---------------------------------------------------------
 
 
-def nearest_plane(b: ExactMatrix, u: Sequence, gs: GramSchmidtData | None = None) -> Vec:
-    """Babai's nearest-plane lattice point for target u.
+def nearest_plane(b: ExactMatrix, u: Sequence) -> Vec:
+    """Babai's nearest-plane lattice point for target u, in integer arithmetic.
 
     The approximation factor 2^(n/2) against the true closest vector holds
     when the caller passes an LLL-reduced basis; the routine itself runs on
-    any full-rank basis.  A precomputed Gram-Schmidt decomposition of b can
-    be supplied by callers decoding many targets against one basis.
+    any basis of independent columns, rational or not square.  It reads the
+    integral Gram-Schmidt data (d, lam) of the integer form D b, as
+    :func:`lll_reduce` does: with u = w / e and lam_u the integral
+    projections of D w, the coefficient of b_j is lam_u[j] / (e d[j+1]),
+    rounded as ``round`` rounds a Fraction, and subtracting c_j b_j from the
+    target is one size-reduction step on lam_u.
     """
-    if gs is None:
-        gs = gram_schmidt(b)
-    n = b.ncols
-    rem = as_fraction_vec(u)
+    if len(u) != b.nrows:
+        raise ValueError("dimension mismatch")
+    den, rows = b.integer_form()
+    cols = list(zip(*rows))
+    d, lam = _integral_gram(cols)
+    e, w = vec_integer_form(u)
+    n = len(cols)
+    lu = [0] * n
+    _integral_projections([den * x for x in w], cols, d, lam, lu)
+    c = [0] * n
     for j in range(n - 1, -1, -1):
-        c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
-        rem = vec_sub(rem, vec_scale(b.column(j), c))
-    return vec_sub(as_fraction_vec(u), rem)
+        c[j] = _round_half_even(lu[j], e * d[j + 1])
+        if c[j]:
+            step = c[j] * e
+            for t in range(j):
+                lu[t] -= step * lam[j][t]
+    return b.mul_vec(c)
 
 
 # -- integer boxes ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The fraction-free kernels against the Fraction algorithms they replaced.
 
 ``intlat`` inverts, solves and takes determinants through one Bareiss pass on
-the integer form of a matrix, runs LLL on integral Gram-Schmidt data, and
-``ReductionCertificate`` checks sigma and its error bound in integers.  The
-references below are the Fraction Gauss-Jordan elimination and the LLL that
-recomputes rational Gram-Schmidt after every swap; every property asserts
-exact equality, types included, against them.  Derandomized.
+the integer form of a matrix, runs LLL and Babai's nearest plane on integral
+Gram-Schmidt data, and ``ReductionCertificate`` checks sigma and its error
+bound in integers.  The references below are the Fraction Gauss-Jordan
+elimination, the LLL that recomputes rational Gram-Schmidt after every swap
+and the nearest plane that rounds Fraction projections on rational
+Gram-Schmidt vectors; every property asserts exact equality, types included,
+against them.  Derandomized.
 """
 
 from dataclasses import replace
@@ -15,16 +17,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latdft import intlat
 from latdft.errors import MembershipError, RankError
 from latdft.intlat import (
     ExactMatrix,
+    as_fraction_vec,
+    brute_force_cvp,
     coefficients_in_basis,
+    cvp_exact,
     determinant,
+    dot,
     gram_schmidt,
     lll_reduce,
     membership,
+    nearest_plane,
     norm_sq,
     sqrt_upper_bound,
+    vec_scale,
     vec_sub,
 )
 from latdft.sysnf import reduce_to_sysnf
@@ -108,6 +117,16 @@ def ref_lll(b: ExactMatrix, delta=Fraction(3, 4)) -> ExactMatrix:
             ortho, mu = gso()
             k = max(k - 1, 1)
     return ExactMatrix.from_columns(cols)
+
+
+def ref_nearest_plane(b: ExactMatrix, u) -> tuple:
+    """Babai's nearest plane on rational Gram-Schmidt vectors, rounding Fractions."""
+    gs = gram_schmidt(b)
+    rem = as_fraction_vec(u)
+    for j in range(b.ncols - 1, -1, -1):
+        c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
+        rem = vec_sub(rem, vec_scale(b.column(j), c))
+    return vec_sub(as_fraction_vec(u), rem)
 
 
 def ref_integral_image(m: ExactMatrix, v) -> tuple:
@@ -274,6 +293,95 @@ def test_lll_rounds_half_to_even(second, reduced):
 def test_lll_rejects_dependent_columns():
     with pytest.raises(RankError, match="linearly dependent"):
         lll_reduce(ExactMatrix([[1, 2], [2, 4]]))
+
+
+# -- Babai nearest plane ---------------------------------------------------------------
+
+def targets_of(n: int) -> st.SearchStrategy:
+    """Target vectors of length n with denominators 1 to 8."""
+    entry = st.builds(Fraction, st.integers(-80, 80), st.integers(1, 8))
+    return st.lists(entry, min_size=n, max_size=n)
+
+
+@st.composite
+def basis_and_targets(draw, bound=6):
+    """A basis with 1-4 columns and as many or one more rows, integer or rational, and targets."""
+    ncols = draw(st.integers(1, 4))
+    nrows = ncols + draw(st.sampled_from([0, 1]))
+    entries = draw(st.sampled_from([st.integers(-bound, bound), st.one_of(small_ints, rationals)]))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return ExactMatrix(rows), draw(st.lists(targets_of(nrows), min_size=1, max_size=6))
+
+
+@PROPS
+@given(basis_and_targets())
+def test_nearest_plane_matches_fraction_reference(bt):
+    b, targets = bt
+    for u in targets:
+        assert same(outcome(nearest_plane, b, u), outcome(ref_nearest_plane, b, u))
+
+
+@PROPS
+@given(nonsingular_integer(lo=2, hi=4, bound=40), st.data())
+def test_nearest_plane_matches_reference_on_skewed_bases(b, data):
+    # Unreduced bases with large entries give large coefficients and deep updates.
+    for u in data.draw(st.lists(targets_of(b.nrows), min_size=1, max_size=4)):
+        assert same(nearest_plane(b, u), ref_nearest_plane(b, u))
+
+
+@pytest.mark.parametrize(
+    "rows, target, point",
+    [
+        # On I_2, mu = (1/2, 3/2) and (-1/2, -3/2): ties go to the even integer.
+        ([[1, 0], [0, 1]], ("1/2", "3/2"), (0, 2)),
+        ([[1, 0], [0, 1]], ("-1/2", "-3/2"), (0, -2)),
+        # b*_1 = (0, 1): mu_1 = 3/2 rounds to 2, which leaves mu_0 = -1/2, rounded to 0.
+        ([[2, 1], [0, 1]], ("1", "3/2"), (2, 2)),
+        # mu_1 = +-1/2 rounds to 0, then mu_0 = 3/2, -3/2 and 5/2 round to 2, -2 and 2.
+        ([[2, 1], [0, 1]], ("3", "1/2"), (4, 0)),
+        ([[2, 1], [0, 1]], ("-3", "-1/2"), (-4, 0)),
+        ([[2, 1], [0, 1]], ("5", "1/2"), (4, 0)),
+        # A rational basis: mu = (1/2, 3/2).
+        ([["1/2", 0], [0, "1/3"]], ("1/4", "1/2"), (0, "2/3")),
+        # A 3x2 basis: mu = (3/2, -1/2); the component off the span is dropped.
+        ([[1, 0], [0, 1], [0, 0]], ("3/2", "-1/2", "7"), (2, 0, 0)),
+    ],
+)
+def test_nearest_plane_rounds_half_to_even(rows, target, point):
+    b = ExactMatrix(rows)
+    u = as_fraction_vec(target)
+    got = nearest_plane(b, u)
+    assert same(got, ref_nearest_plane(b, u))
+    assert got == as_fraction_vec(point)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[1, 0], [0, 0]], [[1, 0, 1], [0, 1, 1]]])
+def test_nearest_plane_rejects_dependent_columns(rows):
+    b = ExactMatrix(rows)
+    u = (Fraction(1, 3),) * b.nrows
+    for f in (nearest_plane, ref_nearest_plane):
+        with pytest.raises(RankError, match="linearly dependent"):
+            f(b, u)
+
+
+def test_nearest_plane_rejects_wrong_length():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        nearest_plane(ExactMatrix([[2, 1], [0, 1]]), (1, 2, 3))
+
+
+def test_babai_and_cvp_build_no_fraction_gram_schmidt(monkeypatch):
+    b = lll_reduce(ExactMatrix([[7, 3, 1], [2, 9, 4], [1, 5, 8]]))
+    u = (Fraction(17, 3), Fraction(-5, 2), Fraction(11, 8))
+    babai = ref_nearest_plane(b, u)
+    best = brute_force_cvp(b, u, 6)
+
+    def refuse(_):
+        raise AssertionError("Fraction Gram-Schmidt built on the decode path")
+
+    monkeypatch.setattr(intlat, "gram_schmidt", refuse)
+    assert nearest_plane(b, u) == babai
+    assert cvp_exact(b, u) == best
+    assert best.dist_sq <= norm_sq(vec_sub(u, babai))
 
 
 # -- reduction certificate ---------------------------------------------------------------
