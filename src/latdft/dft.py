@@ -71,9 +71,9 @@ def dft_matrix(s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD) -> Character
     points = tuple(enumerate_ln(s, size_guard))
     pts = ln_points(s)
     phases = (pts @ pts.T) % s.N
-    twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N)
+    # Normalized once per twiddle rather than per matrix entry: the same division of each entry.
+    twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N) / np.sqrt(len(points))
     mat = twiddles[phases]
-    mat /= np.sqrt(len(points))
     index = {p.coords: i for i, p in enumerate(points)}
     return CharacterMatrix(s, points, mat, index)
 

@@ -3,6 +3,10 @@
 Registers are n qudits over Z_N; the statevector is the full length-N^n
 complex array, indexed row-major with the first register most significant.
 Basis states off L_N pass through the composite circuit unchanged.
+
+:func:`lattice_qft_values` is the compressed path on the L_N subspace alone:
+shear and uncompute as one slab-wise gather through the inverse shear, then
+one in-place FFT, in one complex |L_N| array plus slab-sized temporaries.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +23,8 @@ from .errors import ModulusMismatchError, SizeGuardError, UncomputeError
 from .sysnf import SysNFBasis, ln_first, ln_points
 
 SUPPORT_TOL = 1e-12
+# Output points per slab of the inverse-shear gather: about 128 KiB of int64 index.
+_SLAB = 2**14
 
 
 @dataclass(frozen=True)
@@ -128,15 +135,15 @@ def simulate_sysnf_qft(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Run the four-step circuit; basis states off L_N are returned unchanged."""
     _check_registers(s, psi, s.n)
     mask = lattice_membership_mask(s)
-    on_l = Statevector(s.N, s.n, np.where(mask, psi.amps, 0.0))
-    off_l = np.where(mask, 0.0, psi.amps)
-
-    state = step_shear(s, on_l)
+    # The on- and off-lattice parts are formed only where they are used, so
+    # neither is held across the circuit.
+    state = step_shear(s, Statevector(s.N, s.n, np.where(mask, psi.amps, 0.0)))
     state = step_uncompute_first(s, state)
     for reg in range(state.n):
         state = qft_mod_n(state, reg)
-    state = step_apply_basis(s, state)
-    return Statevector(s.N, s.n, state.amps + off_l)
+    out = step_apply_basis(s, state).amps
+    out += np.where(mask, 0.0, psi.amps)
+    return Statevector(s.N, s.n, out)
 
 
 def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
@@ -158,26 +165,58 @@ def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
     return worst
 
 
-def shear_index(s: SysNFBasis) -> np.ndarray:
-    """Canonical L_N index of the sheared tail y = (I + b b^T) t mod N, for every tail t.
+def unshear_slabs(s: SysNFBasis) -> Iterator[tuple[int, np.ndarray]]:
+    """Gather index of the compressed shear, one slab of output rows at a time.
 
-    Shear followed by uncompute, as one map on tails: y_j = t_j + b_j x_1 with
-    x_1 = b . t mod N.  The result is an int64 array in the canonical order of
-    the tails t; it is a permutation of range(N^(n-1)) exactly when the basis is valid.
+    Shear followed by uncompute maps the tail t to y = C t mod N with
+    C = I + b b^T, so the output at y reads the input at t = C^-1 y mod N,
+    where C^-1 = I - (1 + b.b)^-1 b b^T: the uncompute rule x_1 = (b.y)(1 + b.b)^-1
+    followed by t = y - b x_1.  Yields ``(lo, index)`` for consecutive ranges of
+    the canonical output order: output ``lo + i`` reads input ``index[i]``.
+    Each slab spans whole rows of the leading tail axis, as many as fit in
+    ``_SLAB`` points and at least one.  An invalid basis raises
+    :class:`ConditionError` at the first slab.
     """
-    k = s.n - 1
-    x1 = ln_first(s).reshape((s.N,) * k)
-    index = np.zeros_like(x1)
-    y = np.empty_like(x1)
-    # No int64 overflow: b_j x_1 + t_j < N^2 and index < N^(n-1), and the
-    # guard in lattice_qft_values keeps N <= N^(n-1) <= BOX_GUARD, so N^2 < 2^63.
-    for bj, t in zip(s.b, np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
-        np.multiply(x1, bj, out=y)
-        y += t
-        y %= s.N
-        index *= s.N
-        index += y
-    return index.reshape(-1)
+    N, k = s.N, s.n - 1
+    inv = s.condition_inverse()
+    if k == 0:  # n = 1: the only tail is the empty one
+        yield 0, np.zeros(1, dtype=np.int64)
+        return
+    width = N ** (k - 1)
+    step = min(N, max(1, _SLAB // width))
+    # coords[j] holds coordinate j of t = C^-1 y mod N, times its index weight
+    # N^(k-1-j), over the current slab; the next slab's rows are step further
+    # along the leading axis, which adds row j of C^-1, column 0, times step.
+    grids = np.indices((step,) + (N,) * (k - 1), dtype=np.uint64, sparse=True)
+    coords, shifts, bounds = [], [], []
+    for j, bj in enumerate(s.b):
+        row = [(int(i == j) - inv * bj * bi) % N for i, bi in enumerate(s.b)]
+        weight = N ** (k - 1 - j)
+        c = np.zeros((step,) + (N,) * (k - 1), dtype=np.uint64)
+        for cij, axis in zip(row, grids):
+            c += cij * axis
+        c %= N
+        c *= weight
+        coords.append(c.reshape(-1))
+        shifts.append(np.uint64(row[0] * step % N * weight))
+        bounds.append(np.uint64(N * weight))
+    # No overflow: the first slab's products stay below N^2 and their sum
+    # below (n-1) N^2; after that a weighted coordinate plus its shift stays
+    # below 2 N^(n-1), and the index below N^(n-1) <= BOX_GUARD (guarded by
+    # lattice_qft_values).
+    scratch = np.empty_like(coords[0])
+    for lo in range(0, N, step):
+        size = (min(N, lo + step) - lo) * width
+        index = coords[0][:size].copy()
+        for c in coords[1:]:
+            index += c[:size]
+        yield lo * width, index.view(np.int64)
+        for c, shift, bound in zip(coords, shifts, bounds):
+            c += shift
+            # Subtract the bound where c reaches it: below it, c - bound wraps
+            # above c in unsigned arithmetic and the minimum keeps c.
+            np.subtract(c, bound, out=scratch)
+            np.minimum(c, scratch, out=c)
 
 
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
@@ -185,20 +224,25 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
 
     Input and output are length-|L_N| arrays in the canonical point order
     (lexicographic tails).  Equivalent to simulate_sysnf_qft on the embedded
-    state, but the working set is one complex |L_N| array (the output) plus
-    one int64 |L_N| index, which is what the sampler requires for the large
-    moduli produced by basis reduction.
+    state.  Shear and uncompute become one gather through the inverse shear
+    (:func:`unshear_slabs`), then one in-place FFT follows, so the working set
+    is one complex |L_N| array (the output) plus slab-sized temporaries; that
+    is what the sampler requires for the large moduli produced by basis
+    reduction.
     """
     m = s.N ** (s.n - 1)
     if m > intlat.BOX_GUARD:
         raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
-    s.condition_inverse()  # the compressed shear is a permutation only when valid
-    index = shear_index(s)
-    out = np.zeros(m, dtype=complex)
-    out[index] = values
-    del index
+    # The compressed shear is a permutation only when valid; unshear_slabs
+    # checks that lazily, so check here, before the output is allocated.
+    s.condition_inverse()
+    out = np.empty(m, dtype=complex)
+    for lo, index in unshear_slabs(s):
+        # The index lies in range(m) by construction; mode "raise" would stage
+        # every slab in a copy of its output before writing it.
+        np.take(values, index, out=out[lo : lo + len(index)], mode="clip")
     grid = out.reshape((s.N,) * (s.n - 1))
     np.fft.fftn(grid, out=grid)
     out /= np.sqrt(m)

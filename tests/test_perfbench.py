@@ -1,24 +1,49 @@
-"""One checked pass of the benchmark's lattice-algebra workload.
+"""One checked pass of the benchmark's lattice-algebra and transform workloads.
 
 The benchmark checks every operation of its first pass against independent
 references (brute-force enumeration, Hermite forms, exact certificate
-checks).  Running that pass here makes a kernel break a test failure rather
-than only a failed operation in a benchmark run.
+checks, exact-phase character sums and Fourier oracles).  Running that pass
+here makes a kernel break a test failure rather than only a failed operation
+in a benchmark run.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Largest array a transform operation may build here: the dense M x M matrix
+# of dft_matrix, the N^n statevector of simulate_sysnf_qft, the |L_N| = N^(n-1)
+# values of lattice_qft_values.
+TRANSFORM_MAX_POINTS = 2**21
 
 
-def test_lattice_algebra_pass_has_no_failures(monkeypatch):
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports workloads by name
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    workloads = run._import_workloads()
+    return run, run._import_workloads()
+
+
+def test_lattice_algebra_pass_has_no_failures(monkeypatch):
+    run, workloads = _workloads(monkeypatch)
     runner = run.Runner(workloads.WORKLOADS["lattice-algebra"](1))
     runner.run_pass()
     assert runner.attempted == 240
+    assert runner.failures == []
+
+
+def _transform_points(label: str) -> int:
+    kind, n, big_n = re.fullmatch(r"(\w+) n=(\d+) N=(\d+)", label).groups()
+    exponent = {"dft_matrix": 2 * (int(n) - 1), "simulate_sysnf_qft": int(n), "lattice_qft_values": int(n) - 1}
+    return int(big_n) ** exponent[kind]
+
+
+def test_transform_pass_has_no_failures(monkeypatch):
+    run, workloads = _workloads(monkeypatch)
+    ops = workloads.WORKLOADS["transform"](1)
+    runner = run.Runner([op for op in ops if _transform_points(op.label) <= TRANSFORM_MAX_POINTS])
+    runner.run_pass()
+    assert (len(ops), runner.attempted) == (11, 9)
     assert runner.failures == []

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latdft import intlat
-from latdft.errors import SizeGuardError
+from latdft import intlat, qcirc
+from latdft.errors import ConditionError, SizeGuardError
 from latdft.intlat import (
     ExactMatrix,
     box_points,
@@ -39,11 +39,12 @@ from latdft.intlat import (
     voronoi_relevant,
 )
 from latdft.dft import LatticeFunction, dft_matrix, full_grid_dft_restricted
-from latdft.qcirc import lattice_qft_values, shear_index
+from latdft.qcirc import lattice_qft_values, unshear_slabs
 from latdft.sysnf import (
     ModVector,
     SysNFBasis,
     enumerate_scaled_dual,
+    ln_first,
     ln_index,
     ln_membership,
     ln_points,
@@ -348,14 +349,92 @@ def _shear_index_oracle(s: SysNFBasis) -> np.ndarray:
     return ln_index(s, (pts[:, 1:] + pts[:, :1] * np.array(s.b, dtype=np.int64)) % s.N)
 
 
+def _shear_index_reference(s: SysNFBasis) -> np.ndarray:
+    """Canonical index of y = (I + b b^T) t mod N for every tail t, from broadcast index grids.
+
+    The shear index lattice_qft_values once built in full; the reference for
+    its slab-wise gather below.
+    """
+    k = s.n - 1
+    x1 = ln_first(s).reshape((s.N,) * k)
+    index = np.zeros_like(x1)
+    y = np.empty_like(x1)
+    for bj, t in zip(s.b, np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
+        np.multiply(x1, bj, out=y)
+        y += t
+        y %= s.N
+        index *= s.N
+        index += y
+    return index.reshape(-1)
+
+
+def _scatter_qft_reference(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
+    """Scatter through the full shear index, then the in-place FFT lattice_qft_values runs."""
+    m = s.N ** (s.n - 1)
+    out = np.zeros(m, dtype=complex)
+    out[_shear_index_reference(s)] = values
+    grid = out.reshape((s.N,) * (s.n - 1))
+    np.fft.fftn(grid, out=grid)
+    out /= np.sqrt(m)
+    return out
+
+
+def _check_gather(s: SysNFBasis, shear: np.ndarray, seed: int) -> tuple[np.ndarray, ...]:
+    """The slabs of unshear_slabs tile the output in order and invert ``shear``;
+    lattice_qft_values equals the scatter reference bit for bit."""
+    m = s.N ** (s.n - 1)
+    los, slabs = zip(*unshear_slabs(s))
+    assert list(los) == np.cumsum([0] + [len(x) for x in slabs[:-1]]).tolist()
+    assert all(x.dtype == np.int64 for x in slabs)
+    inverse = np.empty(m, dtype=np.int64)
+    inverse[shear] = np.arange(m)
+    assert np.array_equal(np.concatenate(slabs), inverse)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    assert lattice_qft_values(s, v).tobytes() == _scatter_qft_reference(s, v).tobytes()
+    return slabs
+
+
 @PROPS
-@given(sysnf_basis())
-def test_shear_index_permutes_exactly_when_valid(s):
-    index = shear_index(s)
-    assert index.dtype == np.int64
-    assert np.array_equal(index, _shear_index_oracle(s))
+@given(sysnf_basis(), st.integers(0, 2**32 - 1))
+def test_unshear_slabs_invert_the_shear_exactly_when_valid(s, seed):
+    m = s.N ** (s.n - 1)
+    shear = _shear_index_oracle(s)
+    assert np.array_equal(_shear_index_reference(s), shear)
     # (I + b b^T) is invertible mod N iff det = 1 + |b|^2 is a unit mod N.
-    assert np.array_equal(np.sort(index), np.arange(s.N ** (s.n - 1))) == s.is_valid
+    assert np.array_equal(np.sort(shear), np.arange(m)) == s.is_valid
+    if s.is_valid:
+        _check_gather(s, shear, seed)
+        return
+    with pytest.raises(ConditionError):
+        next(unshear_slabs(s))
+    with pytest.raises(ConditionError):
+        lattice_qft_values(s, np.ones(m, dtype=complex))
+
+
+@pytest.mark.parametrize("slab", [1, 3, 7, 16, 25, 26, 60])
+@pytest.mark.parametrize("s", [SysNFBasis(29, (3,)), SysNFBasis(7, (2, 5)), SysNFBasis(5, (1, 2, 4))])
+def test_unshear_slab_edges(monkeypatch, s, slab):
+    # Small slabs: several rows per slab with a partial last slab, and rows
+    # wider than a slab (one row each).
+    monkeypatch.setattr(qcirc, "_SLAB", slab)
+    width = s.N ** (s.n - 2)
+    rows = max(1, slab // width)
+    slabs = _check_gather(s, _shear_index_oracle(s), slab)
+    assert [len(x) for x in slabs[:-1]] == [rows * width] * (len(slabs) - 1)
+    assert len(slabs) == -(-s.N // rows)
+
+
+@pytest.mark.parametrize(
+    "s, count, last",
+    [
+        (SysNFBasis(40009, (123,)), 3, 40009 - 2 * qcirc._SLAB),  # partial last slab
+        (SysNFBasis(131, (2, 3, 5)), 131, 131**2),  # one row of 131^2 points per slab
+    ],
+)
+def test_unshear_slab_edges_at_module_slab(s, count, last):
+    slabs = _check_gather(s, _shear_index_reference(s), 0)
+    assert len(slabs) == count and len(slabs[-1]) == last
 
 
 @PROPS

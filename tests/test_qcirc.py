@@ -31,6 +31,17 @@ def random_state(rng, n_mod, n_regs):
     return Statevector(n_mod, n_regs, amps)
 
 
+def _peak_bytes(call) -> int:
+    """Traced peak allocation of ``call()`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestShear:
     def test_zero_tail_identity(self):
         s = SysNFBasis(5, (0,))
@@ -157,6 +168,13 @@ class TestApplyBasis:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("s", [SysNFBasis(61, (2, 3)), SysNFBasis(19, (2, 3, 5))])
+    def test_working_set(self, s):
+        # The circuit's steps hold two statevectors and a little more; no
+        # on- or off-lattice copy is held across them.
+        psi = random_state(np.random.default_rng(11), s.N, s.n)
+        assert _peak_bytes(lambda: simulate_sysnf_qft(s, psi)) <= 3 * psi.amps.nbytes
+
     def test_zero_state_to_uniform_superposition(self):
         out = simulate_sysnf_qft(S5, basis_state(5, 2, (0, 0)))
         mask = lattice_membership_mask(S5)
@@ -225,35 +243,44 @@ class TestCompressedPath:
         vec /= np.linalg.norm(vec)
         assert np.abs(lattice_qft_values(s, vec) - cm.matrix @ vec).max() < 1e-10
 
+    def test_one_register(self):
+        # n = 1: L_N is the single point 0 and the transform is the identity.
+        assert lattice_qft_values(SysNFBasis(5, ()), np.array([0.6 - 0.8j])).tolist() == [0.6 - 0.8j]
+
     def test_invalid_basis_rejected(self):
         with pytest.raises(ConditionError):
             lattice_qft_values(SysNFBasis(4, (1,)), np.ones(4, dtype=complex))
+        # 1 + b.b = 2 shares the factor 2 with N: refused before any |L_N|-sized array.
+        s = SysNFBasis(1022, (1, 0))
+        vec = np.ones(s.N**2, dtype=complex)
+        peak = _peak_bytes(lambda: pytest.raises(ConditionError, lattice_qft_values, s, vec))
+        assert peak < s.N**2
 
     def test_ln_guard(self, monkeypatch):
-        # |L_N| = 9: the guard fires before the first |L_N|-sized array, x_1.
+        # |L_N| = 9 fits a guard of 9 and not one of 8.
         s, vec = SysNFBasis(9, (2,)), np.ones(9, dtype=complex) / 3
         monkeypatch.setattr(intlat, "BOX_GUARD", 9)
         assert abs(np.linalg.norm(lattice_qft_values(s, vec)) - 1) < 1e-12
         monkeypatch.setattr(intlat, "BOX_GUARD", 8)
-        monkeypatch.setattr(qcirc, "ln_first", None)
         with pytest.raises(SizeGuardError, match=r"\|L_N\| = N\^\(n-1\) = 9"):
             lattice_qft_values(s, vec)
+        # The guard fires before the first |L_N|-sized array, even one byte a point.
+        s = SysNFBasis(1021, (2, 3))
+        vec = np.ones(s.N**2, dtype=complex)
+        monkeypatch.setattr(intlat, "BOX_GUARD", s.N**2 - 1)
+        peak = _peak_bytes(lambda: pytest.raises(SizeGuardError, lattice_qft_values, s, vec))
+        assert peak < s.N**2
 
     @pytest.mark.parametrize(
-        "s", [SysNFBasis(130817, (5,)), SysNFBasis(257, (3, 7)), SysNFBasis(41, (2, 3, 5))]
+        "s", [SysNFBasis(130817, (5,)), SysNFBasis(1021, (3, 7)), SysNFBasis(67, (2, 3, 5))]
     )
     def test_working_set(self, s):
-        # The output (16 bytes a point) and the int64 shear index (8) is 1.5x
-        # the output; the bound leaves room for FFT scratch, not for a copy.
+        # Outputs of 2 MB and more: the output plus slab-sized temporaries and
+        # FFT scratch, with no room for an |L_N|-sized index (half the output).
         vec = np.ones(s.N ** (s.n - 1), dtype=complex)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = lattice_qft_values(s, vec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 2.5 * out.nbytes
+        assert vec.nbytes >= 2 * 10**6
+        peak = _peak_bytes(lambda: lattice_qft_values(s, vec))
+        assert peak <= vec.nbytes + 2**20
 
 
 class TestSnapshots:
