@@ -8,7 +8,7 @@ the eigenvalue multiplicity table.
 import numpy as np
 
 from latdft import check_fourth_power, check_shift_phase, dft_matrix, eigen_explore
-from latdft.sysnf import SysNFBasis, enumerate_ln
+from latdft.sysnf import SysNFBasis, ln_points
 
 s = SysNFBasis(7, (2, 5))
 cm = dft_matrix(s)
@@ -18,7 +18,7 @@ dev = np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max()
 print(f"unitarity deviation ||F*F - I||_max = {dev:.2e}")
 
 # Shifting by a lattice vector before the transform equals phasing after it.
-worst = max(check_shift_phase(s, v) for v in enumerate_ln(s)[:10])
+worst = max(check_shift_phase(s, v) for v in ln_points(s)[:10])
 print(f"shift-phase conjugacy deviation (10 shifts) = {worst:.2e}")
 
 # F^2 permutes x to -x and F^4 is the identity, like the classical DFT.

@@ -10,12 +10,13 @@ import numpy as np
 from latdft import dft_matrix, simulate_sysnf_qft
 from latdft.qcirc import (
     basis_state,
+    dense_deviation,
     qft_mod_n,
     step_apply_basis,
     step_shear,
     step_uncompute_first,
 )
-from latdft.sysnf import SysNFBasis, enumerate_ln
+from latdft.sysnf import SysNFBasis
 
 
 def show(label, psi, limit=6):
@@ -45,14 +46,7 @@ show("final        ", psi)
 
 # Exhaustive agreement with the dense transform.
 cm = dft_matrix(s)
-probe = basis_state(s.N, s.n, (0, 0))
-worst = 0.0
-for j, point in enumerate(cm.points):
-    out = simulate_sysnf_qft(s, basis_state(s.N, s.n, point.coords))
-    expected = np.zeros(s.N**s.n, dtype=complex)
-    for i, p in enumerate(cm.points):
-        expected[probe.index_of(p.coords)] = cm.matrix[i, j]
-    worst = max(worst, float(np.abs(out.amps - expected).max()))
+worst = dense_deviation(s, cm.matrix)
 print(f"\nmax deviation from the dense matrix over all {cm.order} basis states: {worst:.2e}")
 
 # States off the lattice pass through unchanged.

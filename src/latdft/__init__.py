@@ -26,10 +26,8 @@ from .intlat import (
     nearest_plane,
 )
 from .sysnf import (
-    ModVector,
     ReductionCertificate,
     SysNFBasis,
-    enumerate_ln,
     enumerate_scaled_dual,
     ln_membership,
     phi3,

@@ -8,7 +8,6 @@ is runnable both ways.  Every random quantity is derived from fixed seeds.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 import warnings
@@ -41,11 +40,10 @@ from .intlat import (
 from .qcirc import dense_deviation
 from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
 from .sysnf import (
-    ModVector,
     SysNFBasis,
-    enumerate_ln,
     enumerate_scaled_dual,
     ln_membership,
+    ln_points,
     phi3,
     reduce_to_sysnf,
     scaled_dual_membership,
@@ -148,6 +146,11 @@ def criterion_3_negative_control() -> CriterionResult:
     return _timed(3, "negative control N=4 b=(1)", run)
 
 
+def _residue_grid(s: SysNFBasis) -> np.ndarray:
+    """All N^n points of Z_N^n as an (N^n, n) int64 array."""
+    return np.indices((s.N,) * s.n, dtype=np.int64).reshape(s.n, -1).T
+
+
 def criterion_4_cardinalities() -> CriterionResult:
     extra = [SysNFBasis(101, (5,)), SysNFBasis(31, (3, 7))]
     def run():
@@ -155,23 +158,17 @@ def criterion_4_cardinalities() -> CriterionResult:
             if s.N**s.n > 10**6:
                 continue
             want = s.N ** (s.n - 1)
-            if len(enumerate_ln(s)) != want:
-                return False, f"enumerate_ln count wrong at N={s.N}"
-            count = 0
-            dual_count = 0
-            for coords in itertools.product(range(s.N), repeat=s.n):
-                x = ModVector(s.N, coords)
-                count += ln_membership(s, x)
-                dual_count += scaled_dual_membership(s, x)
+            grid = _residue_grid(s)
+            count = int(ln_membership(s, grid).sum())
+            dual_count = int(scaled_dual_membership(s, grid).sum())
             if count != want:
                 return False, f"|L_N| = {count} != {want} at N={s.N}"
             if dual_count != s.N:
                 return False, f"|(NL*)_N| = {dual_count} != {s.N} at N={s.N}"
             duals = enumerate_scaled_dual(s)
-            if len(set(d.coords for d in duals)) != s.N:
+            if len(np.unique(duals, axis=0)) != s.N:
                 return False, f"scaled dual enumeration not N distinct points at N={s.N}"
-            both = [d for d in duals if ln_membership(s, d)]
-            if [d.coords for d in both] != [(0,) * s.n]:
+            if duals[ln_membership(s, duals)].tolist() != [[0] * s.n]:
                 return False, f"L_N and (NL*)_N intersect beyond 0 at N={s.N}"
         return True, "exhaustive counts N^(n-1) and N confirmed; intersection trivial"
 
@@ -182,21 +179,18 @@ def criterion_5_phi3_bijection() -> CriterionResult:
     cases = [SysNFBasis(5, (1,)), SysNFBasis(9, (2,)), SysNFBasis(5, (1, 2))]
     def run():
         for s in cases:
-            lattice = enumerate_ln(s)
-            images = set()
-            for coords in itertools.product(range(s.N), repeat=s.n):
-                x = ModVector(s.N, coords)
-                y = phi3(s, x)
-                if not ln_membership(s, x + y):
-                    return False, f"x + phi3(x) escapes L_N at N={s.N}, x={x.coords}"
-                if not scaled_dual_membership(s, y):
-                    return False, f"phi3 image off the scaled dual at N={s.N}"
-                images.add(y.coords)
-                for ell in lattice:
-                    if phi3(s, x + ell).coords != y.coords:
-                        return False, f"phi3 not coset-constant at N={s.N}"
-            if len(images) != s.N:
-                return False, f"phi3 image has {len(images)} values, expected {s.N}"
+            x = _residue_grid(s)
+            y = phi3(s, x)
+            if not ln_membership(s, x + y).all():
+                return False, f"x + phi3(x) escapes L_N at N={s.N}"
+            if not scaled_dual_membership(s, y).all():
+                return False, f"phi3 image off the scaled dual at N={s.N}"
+            # Every residue x against every lattice point ell: phi3(x + ell) = phi3(x).
+            if not (phi3(s, x[:, None, :] + ln_points(s)) == y[:, None, :]).all():
+                return False, f"phi3 not coset-constant at N={s.N}"
+            images = len(np.unique(y, axis=0))
+            if images != s.N:
+                return False, f"phi3 image has {images} values, expected {s.N}"
         return True, "section property, coset constancy, and N-value image all exhaustive"
 
     return _timed(5, "quotient-dual bijection", run)
@@ -207,7 +201,7 @@ def criterion_6_shift_phase() -> CriterionResult:
     def run():
         worst = 0.0
         for s in cases:
-            for v in enumerate_ln(s):
+            for v in ln_points(s):
                 worst = max(worst, check_shift_phase(s, v))
         return worst <= 1e-10, f"max conjugacy deviation over all lattice shifts = {worst:.2e}"
 

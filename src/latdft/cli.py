@@ -108,7 +108,7 @@ def _load_transform(args):
         print(f"INVALID SysNF input: {exc}")
         return 2
     try:
-        cm = dft_matrix(basis, size_guard=args.size_guard)
+        cm = dft_matrix(basis)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -145,7 +145,7 @@ def cmd_qft_sim(args) -> int:
         step_shear,
         step_uncompute_first,
     )
-    from .sysnf import ModVector, ln_membership
+    from .sysnf import ln_membership
 
     loaded = _load_transform(args)
     if isinstance(loaded, int):
@@ -153,8 +153,8 @@ def cmd_qft_sim(args) -> int:
     basis, cm, outdir = loaded
     if args.dump_state:
         try:
-            coords = tuple(int(t) for t in args.dump_state.split(","))
-            if not ln_membership(basis, ModVector(basis.N, coords)):
+            coords = tuple(int(t) % basis.N for t in args.dump_state.split(","))
+            if not ln_membership(basis, coords):
                 raise ValueError(f"{coords} is not a point of L_N")
         except (ValueError, LatdftError) as exc:
             print(f"error: bad --dump-state: {exc}", file=sys.stderr)
@@ -296,13 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dft", help="build and export the dense lattice DFT matrix")
     p.add_argument("--input", required=True, help="SysNF matrix file")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--size-guard", type=int, default=4096)
     p.set_defaults(fn=cmd_dft)
 
     p = sub.add_parser("qft-sim", help="simulate the circuit and compare to the dense transform")
     p.add_argument("--input", required=True, help="SysNF matrix file")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--size-guard", type=int, default=4096)
     p.add_argument("--dump-state", help="comma-separated basis state to snapshot after each step")
     p.set_defaults(fn=cmd_qft_sim)
 

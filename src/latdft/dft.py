@@ -9,15 +9,13 @@ of :func:`latdft.sysnf.ln_points`: lexicographic in (x_2, ..., x_n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import intlat
 from .errors import MembershipError, SizeGuardError, ZeroMassError
-from .sysnf import ModVector, SysNFBasis, enumerate_ln, ln_membership, ln_points
-
-DEFAULT_SIZE_GUARD = 4096
+from .sysnf import SysNFBasis, ln_index, ln_membership, ln_points
 
 
 @dataclass(frozen=True)
@@ -29,19 +27,11 @@ class CharacterMatrix:
     """
 
     basis: SysNFBasis
-    points: tuple[ModVector, ...]
     matrix: np.ndarray
-    index: dict = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.points)
-
-    def index_of(self, x: ModVector) -> int:
-        try:
-            return self.index[x.coords]
-        except KeyError:
-            raise MembershipError(f"{x.coords} is not a point of L_N")
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -57,28 +47,36 @@ class LatticeFunction:
             raise ValueError(f"expected {m} values, got {self.values.shape}")
 
 
-def character(s: SysNFBasis, x: ModVector, z: ModVector) -> complex:
-    """chi_x(z) = exp(-2 pi i <x, z> / N) for points of L_N."""
-    for p in (x, z):
-        if not ln_membership(s, p):
-            raise MembershipError(f"{p.coords} is not a point of L_N")
-    phase = sum(a * b for a, b in zip(x.coords, z.coords)) % s.N
+def _check_member(s: SysNFBasis, x) -> None:
+    if not ln_membership(s, x):
+        raise MembershipError(f"{tuple(np.asarray(x).tolist())} is not a point of L_N")
+
+
+def character(s: SysNFBasis, x, z) -> complex:
+    """chi_x(z) = exp(-2 pi i <x, z> / N) for points x, z of L_N given as coordinates."""
+    _check_member(s, x)
+    _check_member(s, z)
+    phase = sum(int(a) * int(b) for a, b in zip(x, z)) % s.N
     return complex(np.exp(-2j * np.pi * phase / s.N))
 
 
-def dft_matrix(s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD) -> CharacterMatrix:
-    """Dense lattice DFT matrix; unitary exactly when the basis is valid."""
-    points = tuple(enumerate_ln(s, size_guard))
+def dft_matrix(s: SysNFBasis) -> CharacterMatrix:
+    """Dense lattice DFT matrix; unitary exactly when the basis is valid.
+
+    The |L_N|^2 matrix is the allocation: more than ``intlat.BOX_GUARD``
+    entries raise :class:`SizeGuardError` before anything |L_N|-sized is built.
+    """
+    m = s.N ** (s.n - 1)
+    if m * m > intlat.BOX_GUARD:
+        raise SizeGuardError(f"dense |L_N|^2 = {m * m} entries exceed guard {intlat.BOX_GUARD}")
     pts = ln_points(s)
     phases = (pts @ pts.T) % s.N
     # Normalized once per twiddle rather than per matrix entry: the same division of each entry.
-    twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N) / np.sqrt(len(points))
-    mat = twiddles[phases]
-    index = {p.coords: i for i, p in enumerate(points)}
-    return CharacterMatrix(s, points, mat, index)
+    twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N) / np.sqrt(m)
+    return CharacterMatrix(s, twiddles[phases])
 
 
-def apply_dft(s: SysNFBasis, f: LatticeFunction, size_guard: int = DEFAULT_SIZE_GUARD) -> LatticeFunction:
+def apply_dft(s: SysNFBasis, f: LatticeFunction) -> LatticeFunction:
     """Transform a function on L_N by the dense character matrix.
 
     Equals the full Z_N^n DFT of the extension-by-zero of f, restricted back
@@ -86,8 +84,7 @@ def apply_dft(s: SysNFBasis, f: LatticeFunction, size_guard: int = DEFAULT_SIZE_
     """
     if f.basis != s:
         raise ValueError("function was built over a different basis")
-    cm = dft_matrix(s, size_guard)
-    return LatticeFunction(s, cm.matrix @ f.values)
+    return LatticeFunction(s, dft_matrix(s).matrix @ f.values)
 
 
 def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
@@ -107,57 +104,37 @@ def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
     return hat[tuple(pts.T)] / np.sqrt(pts.shape[0])
 
 
-def _permutation(cm: CharacterMatrix, image) -> np.ndarray:
-    """Permutation matrix of |x> -> |image(x)> on the L_N index."""
-    mat = np.zeros((cm.order, cm.order))
-    for j, p in enumerate(cm.points):
-        mat[cm.index_of(image(p)), j] = 1.0
-    return mat
-
-
-def shift_operator(cm: CharacterMatrix, v: ModVector) -> np.ndarray:
-    """Permutation matrix of |x> -> |x + v mod N> on the L_N index."""
-    return _permutation(cm, lambda p: p + v)
-
-
-def phase_operator(cm: CharacterMatrix, v: ModVector) -> np.ndarray:
-    """Diagonal matrix of |x> -> exp(-2 pi i <v, x> / N) |x>."""
-    phases = ln_points(cm.basis) @ np.array(v.coords, dtype=np.int64) % cm.basis.N
-    return np.diag(np.exp(-2j * np.pi * phases / cm.basis.N))
-
-
-def check_shift_phase(s: SysNFBasis, v: ModVector, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
+def check_shift_phase(s: SysNFBasis, v) -> float:
     """Max entrywise deviation of F U_v - W_v F over all basis states.
 
-    U_v is the lattice shift by v, W_v the matching character phase; the two
-    are conjugate through the transform whenever v lies in L_N.
+    U_v is the lattice shift |x> -> |x + v mod N>, W_v the matching character
+    phase |x> -> exp(-2 pi i <v, x> / N) |x>; the two are conjugate through
+    the transform whenever v lies in L_N.  F U_v gathers the columns of F at
+    the shifted points and W_v F scales its rows, so neither operator is built.
     """
-    if not ln_membership(s, v):
-        raise MembershipError(f"{v.coords} is not a point of L_N")
-    cm = dft_matrix(s, size_guard)
-    lhs = cm.matrix @ shift_operator(cm, v)
-    rhs = phase_operator(cm, v) @ cm.matrix
+    _check_member(s, v)
+    v = np.asarray(v, dtype=np.int64) % s.N
+    f = dft_matrix(s).matrix
+    pts = ln_points(s)
+    lhs = f[:, ln_index(s, (pts[:, 1:] + v[1:]) % s.N)]
+    rhs = np.exp(-2j * np.pi * (pts @ v % s.N) / s.N)[:, None] * f
     return float(np.abs(lhs - rhs).max())
 
 
-def negation_permutation(cm: CharacterMatrix) -> np.ndarray:
-    return _permutation(cm, lambda p: -p)
-
-
-def check_fourth_power(
-    s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> tuple[float, float]:
+def check_fourth_power(s: SysNFBasis) -> tuple[float, float]:
     """(max |F^2 - negation|, max |F^4 - I|).
 
     F^2 permutes x to -x because the only point of L_N annihilated by every
-    character is 0; F^4 is then the identity.
+    character is 0; F^4 is then the identity.  Each permutation is subtracted
+    in place, at its one entry per column.
     """
-    cm = dft_matrix(s, size_guard)
-    f2 = cm.matrix @ cm.matrix
-    dev2 = float(np.abs(f2 - negation_permutation(cm)).max())
+    f = dft_matrix(s).matrix
+    f2 = f @ f
     f4 = f2 @ f2
-    dev4 = float(np.abs(f4 - np.eye(cm.order)).max())
-    return dev2, dev4
+    cols = np.arange(len(f))
+    f2[ln_index(s, -ln_points(s)[:, 1:] % s.N), cols] -= 1
+    f4[cols, cols] -= 1
+    return float(np.abs(f2).max()), float(np.abs(f4).max())
 
 
 @dataclass(frozen=True)
@@ -176,13 +153,13 @@ class EigenReport:
 _FOURTH_ROOTS = {"+1": 1.0 + 0j, "+i": 1j, "-1": -1.0 + 0j, "-i": -1j}
 
 
-def eigen_explore(s: SysNFBasis, size_guard: int = DEFAULT_SIZE_GUARD) -> EigenReport:
+def eigen_explore(s: SysNFBasis) -> EigenReport:
     """Eigenvalue multiplicity table and per-eigenspace bases of the transform.
 
     Since F^4 = I on a valid basis, eigenvalues cluster on the fourth roots of
     unity; vectors are grouped by the nearest root.
     """
-    cm = dft_matrix(s, size_guard)
+    cm = dft_matrix(s)
     vals, vecs = np.linalg.eig(cm.matrix)
     residuals = np.abs(cm.matrix @ vecs - vecs * vals).max(axis=0)
     mult: dict[str, int] = {}

@@ -93,16 +93,16 @@ def step_uncompute_first(s: SysNFBasis, psi: Statevector) -> Statevector:
     m = s.N ** (s.n - 1)
     flat = psi.amps.reshape(s.N, m)
     # x_1 forced by the uncompute rule for post-shear tails y: (b . y) / (b . b + 1) mod N.
-    first = ln_first(s) * s.condition_inverse() % s.N
-    gathered = flat[first, np.arange(m)]
-    residue = flat.copy()
-    residue[first, np.arange(m)] = 0.0
-    worst = np.abs(residue).max() if residue.size else 0.0
+    rule = (ln_first(s) * s.condition_inverse() % s.N, np.arange(m))
+    # One float magnitude array, not a complex copy, holds what lies off the rule.
+    off_rule = np.abs(flat)
+    off_rule[rule] = 0.0
+    worst = off_rule.max()
     if worst > SUPPORT_TOL:
         raise UncomputeError(
             f"amplitude {worst:.3e} on a state inconsistent with the uncompute rule"
         )
-    return Statevector(s.N, s.n - 1, gathered.copy())
+    return Statevector(s.N, s.n - 1, flat[rule])
 
 
 def qft_mod_n(psi: Statevector, register: int) -> Statevector:

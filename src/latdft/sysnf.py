@@ -12,6 +12,10 @@ A SysNF basis over modulus N is the column basis
 whose lattice is the set of integer vectors with x_1 = sum_j b_j x_j (mod N).
 Validity additionally demands gcd(sum_j b_j^2 + 1, N) = 1, which is what makes
 the modular inverse used by the coset bijection and the Fourier circuit exist.
+
+Points of Z_N^n are integer arrays with coordinates along the last axis: the
+predicates and phi3 take one point or any stack of them, and one point gives
+one bool or one row.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     SizeGuardError,
     StructureError,
 )
-from .intlat import ExactMatrix, hnf, norm_sq, sqrt_upper_bound, vec_integer_form
+from .intlat import _INT64_LIMIT, ExactMatrix, hnf, norm_sq, sqrt_upper_bound, vec_integer_form
 
 DELTA_SEARCH_CAP = 2**20
 SCALE_CAP = 2**512
@@ -124,47 +128,25 @@ def validate(m: ExactMatrix) -> SysNFBasis:
     return basis
 
 
-@dataclass(frozen=True)
-class ModVector:
-    """Element of Z_N^n with coordinates stored reduced into [0, N)."""
-
-    N: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "coords", tuple(int(x) % self.N for x in self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: "ModVector") -> "ModVector":
-        if other.N != self.N:
-            raise ModulusMismatchError(f"moduli differ: {self.N} vs {other.N}")
-        return ModVector(self.N, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "ModVector":
-        return ModVector(self.N, tuple(-a for a in self.coords))
-
-    def centered(self) -> tuple[int, ...]:
-        """Representative with each coordinate in (-N/2, N/2]."""
-        half = self.N // 2
-        return tuple(c - self.N if c > half else c for c in self.coords)
+def _points(s: SysNFBasis, x) -> np.ndarray:
+    """Integer points along the last axis as int64, reduced into [0, N)."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim == 0 or x.shape[-1] != s.n:
+        raise ModulusMismatchError(f"point shape {x.shape} does not end in basis dimension {s.n}")
+    # Every product below is of two reduced coordinates, summed n times at most.
+    if s.n * (s.N - 1) ** 2 >= _INT64_LIMIT:
+        raise SizeGuardError(f"N = {s.N} is too large for exact int64 point arithmetic")
+    return x % s.N
 
 
-def _check_point(s: SysNFBasis, x: ModVector) -> None:
-    if x.N != s.N:
-        raise ModulusMismatchError(f"point modulus {x.N} != basis modulus {s.N}")
-    if x.n != s.n:
-        raise ModulusMismatchError(f"point dimension {x.n} != basis dimension {s.n}")
+def _coset_residue(s: SysNFBasis, x: np.ndarray) -> np.ndarray:
+    """x_1 - sum_j b_j x_j mod N for reduced points x; zero exactly on L_N."""
+    return (x[..., 0] - x[..., 1:] @ np.array(s.b, dtype=np.int64)) % s.N
 
 
-def ln_membership(s: SysNFBasis, x: ModVector) -> bool:
+def ln_membership(s: SysNFBasis, x) -> np.ndarray:
     """True iff x_1 = sum_j b_j x_j (mod N), i.e. x is a point of L_N."""
-    _check_point(s, x)
-    return x.coords[0] == s.first_coordinate(x.coords[1:])
+    return _coset_residue(s, _points(s, x)) == 0
 
 
 def ln_points(s: SysNFBasis) -> np.ndarray:
@@ -203,43 +185,34 @@ def ln_index(s: SysNFBasis, tails: np.ndarray) -> np.ndarray:
     return tails @ np.array([s.N**i for i in range(s.n - 2, -1, -1)], dtype=np.int64)
 
 
-def enumerate_ln(s: SysNFBasis, size_guard: int = 10**6) -> list[ModVector]:
-    """All N^(n-1) points of L_N as ModVectors, in the order of :func:`ln_points`."""
-    count = s.N ** (s.n - 1)
-    if count > size_guard:
-        raise SizeGuardError(f"|L_N| = {count} exceeds size guard {size_guard}")
-    return [ModVector(s.N, tuple(p)) for p in ln_points(s).tolist()]
+def _dual_points(s: SysNFBasis, a: np.ndarray) -> np.ndarray:
+    """The points (a, -b_2 a, ..., -b_n a) mod N of (N L*)_N, one per entry of a in [0, N)."""
+    return a[..., None] * np.array((1, *(-bj for bj in s.b)), dtype=np.int64) % s.N
 
 
-def enumerate_scaled_dual(s: SysNFBasis) -> list[ModVector]:
-    """The N points of (N L*)_N, parameterized as (a, -b_2 a, ..., -b_n a) mod N."""
-    return [
-        ModVector(s.N, (a, *(-bj * a for bj in s.b))) for a in range(s.N)
-    ]
+def enumerate_scaled_dual(s: SysNFBasis) -> np.ndarray:
+    """The N points of (N L*)_N as an (N, n) int64 array, in order a = 0, ..., N-1."""
+    return _dual_points(s, np.arange(s.N, dtype=np.int64))
 
 
-def scaled_dual_membership(s: SysNFBasis, x: ModVector) -> bool:
+def scaled_dual_membership(s: SysNFBasis, x) -> np.ndarray:
     """Independent membership predicate for (N L*)_N: B^T x = 0 (mod N)."""
-    _check_point(s, x)
-    if (s.N * x.coords[0]) % s.N != 0:  # first row of B^T: always 0 mod N
-        return False
-    return all(
-        (bj * x.coords[0] + xj) % s.N == 0 for bj, xj in zip(s.b, x.coords[1:])
-    )
+    x = _points(s, x)
+    # Row 1 of B^T is (N, 0, ..., 0), always 0 mod N; row j is (b_j, e_j).
+    rows = x[..., :1] * np.array(s.b, dtype=np.int64) + x[..., 1:]
+    return (rows % s.N == 0).all(axis=-1)
 
 
-def phi3(s: SysNFBasis, x: ModVector) -> ModVector:
+def phi3(s: SysNFBasis, x) -> np.ndarray:
     """The unique y in (N L*)_N with x + y in L_N.
 
     Writing y = (a, -b_2 a, ..., -b_n a), membership of x + y forces
     a = -(sum b_j^2 + 1)^{-1} (x_1 - sum_j b_j x_j) mod N.  Constant on cosets
     of L_N and bijective from the quotient onto the scaled dual.
     """
-    _check_point(s, x)
+    x = _points(s, x)
     inv = s.condition_inverse()
-    residue = (x.coords[0] - sum(bj * xj for bj, xj in zip(s.b, x.coords[1:]))) % s.N
-    a = (-inv * residue) % s.N
-    return ModVector(s.N, (a, *(-bj * a for bj in s.b)))
+    return _dual_points(s, -inv * _coset_residue(s, x) % s.N)
 
 
 # -- reduction to SysNF ------------------------------------------------------------

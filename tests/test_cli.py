@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latdft import intlat
 from latdft.cli import main
 from latdft.sysnf import ReductionCertificate
 
@@ -77,10 +78,13 @@ class TestDft:
     def test_invalid_input_exit_two(self, files):
         assert main(["dft", "--input", str(files / "bad.txt")]) == 2
 
-    def test_size_guard_exit_one(self, files):
-        assert main([
-            "dft", "--input", str(files / "good.txt"), "--size-guard", "2",
-        ]) == 1
+    def test_size_guard_exit_one(self, files, capsys, monkeypatch):
+        # The 5 x 5 matrix needs |L_N|^2 = 25 entries.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+        assert main(["dft", "--input", str(files / "good.txt"), "--out", str(files / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "|L_N|^2 = 25 entries exceed guard 24" in err and "Traceback" not in err
+        assert not (files / "d").exists()
 
 
 class TestQftSim:
@@ -97,12 +101,24 @@ class TestQftSim:
             matches = list(outdir.glob(f"step{step}_*.bin"))
             assert matches, f"missing snapshot for step {step}"
 
+    def test_size_guard_exit_one(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+        code = main([
+            "qft-sim", "--input", str(files / "good.txt"),
+            "--out", str(files / "sim"), "--dump-state", "3,3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "|L_N|^2 = 25 entries exceed guard 24" in err and "Traceback" not in err
+        assert not (files / "sim").exists()
+
     @pytest.mark.parametrize(
         "state",
         [
             pytest.param("a,b", id="not-integer"),
             pytest.param("1,1,1", id="wrong-length"),
             pytest.param("1,2", id="off-lattice"),
+            pytest.param(f"{2**70},0", id="beyond-int64"),
         ],
     )
     def test_bad_dump_state_exit_one(self, files, capsys, state):

@@ -1,11 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latdft import intlat
 from latdft.dft import (
-    CharacterMatrix,
     LatticeFunction,
     apply_dft,
     character,
@@ -19,7 +19,7 @@ from latdft.dft import (
     smoothness_estimate,
 )
 from latdft.errors import MembershipError, SizeGuardError, ZeroMassError
-from latdft.sysnf import ModVector, SysNFBasis, enumerate_ln
+from latdft.sysnf import SysNFBasis, ln_index, ln_points
 
 S5 = SysNFBasis(5, (1,))
 S52 = SysNFBasis(5, (1, 2))
@@ -32,27 +32,69 @@ def classical_dft(n_points: int) -> np.ndarray:
     return np.fft.fft(np.eye(n_points)) / np.sqrt(n_points)
 
 
+# Dense reference operators on the L_N index: the permutation and diagonal
+# matrices that check_shift_phase and check_fourth_power avoid building.
+
+
+def _permutation(s: SysNFBasis, image) -> np.ndarray:
+    """Permutation matrix of |x> -> |image(x) mod N>, indexed by a point dict."""
+    pts = ln_points(s)
+    index = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
+    mat = np.zeros((len(pts), len(pts)))
+    for j, p in enumerate(pts):
+        mat[index[tuple((image(p) % s.N).tolist())], j] = 1.0
+    return mat
+
+
+def shift_operator(s: SysNFBasis, v) -> np.ndarray:
+    """Permutation matrix of |x> -> |x + v mod N> on the L_N index."""
+    return _permutation(s, lambda p: p + np.asarray(v))
+
+
+def phase_operator(s: SysNFBasis, v) -> np.ndarray:
+    """Diagonal matrix of |x> -> exp(-2 pi i <v, x> / N) |x>."""
+    phases = ln_points(s) @ (np.asarray(v, dtype=np.int64) % s.N) % s.N
+    return np.diag(np.exp(-2j * np.pi * phases / s.N))
+
+
+def negation_permutation(s: SysNFBasis) -> np.ndarray:
+    return _permutation(s, lambda p: -p)
+
+
+def reference_shift_phase(s: SysNFBasis, v) -> float:
+    f = dft_matrix(s).matrix
+    return float(np.abs(f @ shift_operator(s, v) - phase_operator(s, v) @ f).max())
+
+
+def reference_fourth_power(s: SysNFBasis) -> tuple[float, float]:
+    f = dft_matrix(s).matrix
+    f2 = f @ f
+    dev2 = float(np.abs(f2 - negation_permutation(s)).max())
+    f4 = f2 @ f2
+    dev4 = float(np.abs(f4 - np.eye(len(f))).max())
+    return dev2, dev4
+
+
 class TestCharacter:
     def test_zero_arguments(self):
-        z = ModVector(5, (0, 0))
-        x = ModVector(5, (2, 2))
+        z, x = (0, 0), (2, 2)
         assert character(S5, z, x) == 1
         assert character(S5, x, z) == 1
 
     def test_worked_value(self):
-        x = ModVector(5, (1, 1))
-        val = character(S5, x, x)
+        val = character(S5, (1, 1), (1, 1))
         assert abs(val - np.exp(-4j * np.pi / 5)) < 1e-14
+        assert character(S5, (6, -4), (1, 1)) == val  # any integer representative
 
     def test_symmetry(self):
-        pts = enumerate_ln(S52)
+        pts = ln_points(S52).tolist()
         for x in pts[:5]:
             for z in pts[5:10]:
                 assert character(S52, x, z) == character(S52, z, x)
 
     def test_membership_enforced(self):
-        with pytest.raises(MembershipError):
-            character(S5, ModVector(5, (1, 0)), ModVector(5, (0, 0)))
+        with pytest.raises(MembershipError, match=r"\(1, 0\) is not a point"):
+            character(S5, (1, 0), (0, 0))
 
 
 class TestDftMatrix:
@@ -86,16 +128,33 @@ class TestDftMatrix:
         dev = np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(4)).max()
         assert dev >= 0.5
 
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            dft_matrix(S5, size_guard=3)
+    def test_size_guard(self, monkeypatch):
+        # The dense matrix holds |L_N|^2 = 25 entries.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 25)
+        assert dft_matrix(S5).order == 5
+        monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+        with pytest.raises(SizeGuardError, match=r"\|L_N\|\^2 = 25 entries"):
+            dft_matrix(S5)
+        # Refused before anything |L_N|-sized is built, even one byte a point.
+        monkeypatch.undo()
+        s = SysNFBasis(2237, (2,))  # 2237^2 just exceeds the default guard
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError):
+                dft_matrix(s)
+            assert tracemalloc.get_traced_memory()[1] < s.N
+        finally:
+            tracemalloc.stop()
+        assert dft_matrix(SysNFBasis(2039, (2,))).order == 2039
 
     def test_index_lookup(self):
-        cm = dft_matrix(S5)
-        for i, p in enumerate(cm.points):
-            assert cm.index_of(p) == i
-        with pytest.raises(MembershipError):
-            cm.index_of(ModVector(5, (1, 0)))
+        # Row and column i belong to point i of ln_points, which ln_index inverts.
+        pts = ln_points(S52)
+        assert np.array_equal(ln_index(S52, pts[:, 1:]), np.arange(25))
+        cm = dft_matrix(S52)
+        for i, p in enumerate(pts.tolist()):
+            assert cm.matrix[i, 7] == cm.matrix[7, i]
+            assert abs(cm.matrix[i, 7] - character(S52, p, pts[7]) / 5) < 1e-15
 
 
 class TestApplyDft:
@@ -138,23 +197,31 @@ class TestApplyDft:
 
 class TestShiftPhase:
     def test_zero_shift_exact(self):
-        assert check_shift_phase(S5, ModVector(5, (0, 0))) == 0.0
+        assert check_shift_phase(S5, (0, 0)) == 0.0
 
     def test_small_instances(self):
-        assert check_shift_phase(S5, ModVector(5, (1, 1))) <= 1e-10
+        assert check_shift_phase(S5, (1, 1)) <= 1e-10
+        assert check_shift_phase(S5, (-4, 6)) == check_shift_phase(S5, (1, 1))
         rng = np.random.default_rng(3)
-        pts = enumerate_ln(S75)
-        v = pts[int(rng.integers(len(pts)))]
+        pts = ln_points(S75)
+        v = tuple(pts[int(rng.integers(len(pts)))])
         assert check_shift_phase(S75, v) <= 1e-10
 
     def test_exhaustive_small(self):
         for s in (S5, S52):
-            for v in enumerate_ln(s):
+            for v in ln_points(s):
                 assert check_shift_phase(s, v) <= 1e-10
+
+    @pytest.mark.parametrize("s", [S5, S52, S75])
+    def test_matches_dense_reference(self, s):
+        # The gather and the row scaling skip BLAS's fused complex products,
+        # so the deviations agree with the dense operators to rounding only.
+        for v in ln_points(s):
+            assert abs(check_shift_phase(s, v) - reference_shift_phase(s, v)) <= 1e-15
 
     def test_non_member_rejected(self):
         with pytest.raises(MembershipError):
-            check_shift_phase(S5, ModVector(5, (1, 0)))
+            check_shift_phase(S5, (1, 0))
 
 
 class TestFourthPower:
@@ -166,6 +233,12 @@ class TestFourthPower:
         for s in (S5, S52, S75):
             d2, d4 = check_fourth_power(s)
             assert d2 <= 1e-10 and d4 <= 1e-10
+
+    @pytest.mark.parametrize("s", [S5, S52, S75, SysNFBasis(4, (1,))])
+    def test_matches_dense_reference(self, s):
+        # Subtracting each permutation at its entries is the same arithmetic as
+        # subtracting the dense permutation matrix, bit for bit.
+        assert check_fourth_power(s) == reference_fourth_power(s)
 
     def test_spectrum_on_fourth_roots(self):
         vals = np.linalg.eigvals(dft_matrix(S5).matrix)

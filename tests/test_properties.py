@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latdft import intlat, qcirc
-from latdft.errors import ConditionError, SizeGuardError
+from latdft.errors import ConditionError, ModulusMismatchError, SizeGuardError
 from latdft.intlat import (
     ExactMatrix,
     box_points,
@@ -41,7 +41,6 @@ from latdft.intlat import (
 from latdft.dft import LatticeFunction, dft_matrix, full_grid_dft_restricted
 from latdft.qcirc import lattice_qft_values, unshear_slabs
 from latdft.sysnf import (
-    ModVector,
     SysNFBasis,
     enumerate_scaled_dual,
     ln_first,
@@ -50,6 +49,7 @@ from latdft.sysnf import (
     ln_points,
     phi3,
     reduce_to_sysnf,
+    scaled_dual_membership,
     validate,
 )
 
@@ -132,8 +132,48 @@ def test_ln_points_order_membership_and_index(params):
     assert pts.shape == (big_n ** (s.n - 1), s.n) and pts.dtype == np.int64
     tails = [tuple(t) for t in pts[:, 1:].tolist()]
     assert tails == list(itertools.product(range(big_n), repeat=s.n - 1))
-    assert all(ln_membership(s, ModVector(big_n, tuple(p))) for p in pts.tolist())
+    assert ln_membership(s, pts).all()
     assert np.array_equal(ln_index(s, pts[:, 1:]), np.arange(len(pts)))
+
+
+@PROPS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 30),
+            st.lists(st.integers(-40, 40), min_size=n - 1, max_size=n - 1),
+            st.lists(st.lists(st.integers(-100, 100), min_size=n, max_size=n), min_size=1, max_size=12),
+        )
+    )
+)
+def test_point_predicates_match_scalar_definitions(params):
+    big_n, b, points = params
+    s = SysNFBasis(big_n, tuple(b))
+    basis = s.to_matrix()
+    member = ln_membership(s, points)
+    dual = scaled_dual_membership(s, points)
+    assert member.shape == dual.shape == (len(points),)
+    for p, m, d in zip(points, member, dual):
+        assert m == ((p[0] - s.first_coordinate(p[1:])) % big_n == 0)
+        # B^T x = 0 (mod N), column by column of the SysNF matrix.
+        assert d == all(sum(c * x for c, x in zip(basis.column(j), p)) % big_n == 0 for j in range(s.n))
+        # One point gives a scalar.
+        assert np.ndim(ln_membership(s, tuple(p))) == 0 and ln_membership(s, tuple(p)) == m
+        assert np.ndim(scaled_dual_membership(s, tuple(p))) == 0
+    if s.is_valid:
+        y = phi3(s, points)
+        inv = pow(s.condition_sum, -1, big_n)
+        for p, row in zip(points, y.tolist()):
+            a = -inv * (p[0] - sum(bj * xj for bj, xj in zip(s.b, p[1:]))) % big_n
+            assert row == [a] + [-bj * a % big_n for bj in s.b]
+            assert phi3(s, tuple(p)).tolist() == row
+    else:
+        with pytest.raises(ConditionError):
+            phi3(s, points)
+    for bad in (points[0] + [0], points[0][:-1], [points[0] + [0]]):
+        for predicate in (ln_membership, scaled_dual_membership, phi3):
+            with pytest.raises(ModulusMismatchError):
+                predicate(s, bad)
 
 
 @PROPS
@@ -514,14 +554,13 @@ def test_reduction_certificate_holds_on_random_bases(b, eps, coeffs):
 def test_phi3_is_a_bijection_onto_the_scaled_dual(s, data):
     # (a, 0, ..., 0) for a in Z_N is one representative of each coset of L_N.
     tail = data.draw(st.lists(st.integers(0, s.N - 1), min_size=s.n - 1, max_size=s.n - 1))
-    shift = ModVector(s.N, (s.first_coordinate(tail), *tail))
+    shift = np.array([s.first_coordinate(tail), *tail])
     assert ln_membership(s, shift)
-    images = []
-    for a in range(s.N):
-        x = ModVector(s.N, (a,) + (0,) * (s.n - 1))
-        y = phi3(s, x)
-        assert ln_membership(s, x + y)
-        assert phi3(s, x + shift) == y  # constant on the coset
-        images.append(y.coords)
-    assert sorted(images) == sorted(y.coords for y in enumerate_scaled_dual(s))
+    x = np.zeros((s.N, s.n), dtype=np.int64)
+    x[:, 0] = np.arange(s.N)
+    y = phi3(s, x)
+    assert ln_membership(s, x + y).all()
+    assert np.array_equal(phi3(s, x + shift), y)  # constant on the coset
+    images = sorted(map(tuple, y.tolist()))
+    assert images == sorted(map(tuple, enumerate_scaled_dual(s).tolist()))
     assert len(set(images)) == s.N

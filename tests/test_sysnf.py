@@ -25,12 +25,11 @@ from latdft.intlat import (
     vec_sub,
 )
 from latdft.sysnf import (
-    ModVector,
     ReductionCertificate,
     SysNFBasis,
-    enumerate_ln,
     enumerate_scaled_dual,
     ln_membership,
+    ln_points,
     phi3,
     reduce_to_sysnf,
     scaled_dual_membership,
@@ -84,107 +83,85 @@ class TestValidate:
         assert SysNFBasis(5, (-3,)).b == (2,)
 
 
-class TestModVector:
-    def test_reduction_and_arithmetic(self):
-        x = ModVector(5, (7, -1))
-        assert x.coords == (2, 4)
-        y = ModVector(5, (4, 4))
-        assert (x + y).coords == (1, 3)
-        assert (-x).coords == (3, 1)
-
-    def test_centered(self):
-        assert ModVector(5, (0, 1, 2, 3, 4)).centered() == (0, 1, 2, -2, -1)
-        assert ModVector(4, (0, 1, 2, 3)).centered() == (0, 1, 2, -1)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatchError):
-            ModVector(5, (1, 1)) + ModVector(7, (1, 1))
-
-
 class TestLnMembership:
     S = SysNFBasis(5, (1,))
 
     def test_zero(self):
-        assert ln_membership(self.S, ModVector(5, (0, 0)))
+        assert ln_membership(self.S, (0, 0))
 
     def test_examples(self):
-        assert ln_membership(self.S, ModVector(5, (3, 3)))
-        assert not ln_membership(self.S, ModVector(5, (1, 0)))
+        assert ln_membership(self.S, (3, 3))
+        assert ln_membership(self.S, (8, -2))  # any integer representative
+        assert not ln_membership(self.S, (1, 0))
 
     def test_count_matches_group_order(self):
         for s in (SysNFBasis(5, (1,)), SysNFBasis(7, (1,)), SysNFBasis(5, (1, 2))):
-            count = 0
-            for flat in range(s.N**s.n):
-                coords = []
-                rem = flat
-                for _ in range(s.n):
-                    coords.append(rem % s.N)
-                    rem //= s.N
-                count += ln_membership(s, ModVector(s.N, tuple(coords)))
-            assert count == s.N ** (s.n - 1)
+            grid = np.indices((s.N,) * s.n).reshape(s.n, -1).T
+            member = ln_membership(s, grid)
+            assert member.shape == (s.N**s.n,)
+            assert member.sum() == s.N ** (s.n - 1)
 
     def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatchError):
-            ln_membership(self.S, ModVector(7, (0, 0)))
+        # A point of the wrong dimension cannot be over this basis's Z_N^n.
+        for x in [(0, 0, 0), (0,), 0, np.zeros((4, 3))]:
+            with pytest.raises(ModulusMismatchError):
+                ln_membership(self.S, x)
+
+    def test_int64_range_guard(self):
+        # Reduced coordinates multiply in int64: refuse a modulus whose products could overflow.
+        with pytest.raises(SizeGuardError):
+            ln_membership(SysNFBasis(2**32, (1,)), (0, 0))
+        assert ln_membership(SysNFBasis(2**31, (1,)), (5, 5))
 
 
 class TestEnumerateLn:
     def test_diagonal_example(self):
-        pts = enumerate_ln(SysNFBasis(5, (1,)))
-        assert [p.coords for p in pts] == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]
+        pts = ln_points(SysNFBasis(5, (1,)))
+        assert pts.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]]
 
     def test_zero_tail(self):
-        pts = enumerate_ln(SysNFBasis(3, (0, 0)))
-        assert all(p.coords[0] == 0 for p in pts)
+        pts = ln_points(SysNFBasis(3, (0, 0)))
+        assert (pts[:, 0] == 0).all()
         assert len(pts) == 9
 
     def test_lexicographic_tails(self):
-        pts = enumerate_ln(SysNFBasis(3, (1, 2)))
-        tails = [p.coords[1:] for p in pts]
+        tails = ln_points(SysNFBasis(3, (1, 2)))[:, 1:].tolist()
         assert tails == sorted(tails)
 
     def test_cardinality_and_membership(self):
         for s in (SysNFBasis(9, (2,)), SysNFBasis(5, (1, 2))):
-            pts = enumerate_ln(s)
+            pts = ln_points(s)
             assert len(pts) == s.N ** (s.n - 1)
-            assert all(ln_membership(s, p) for p in pts)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            enumerate_ln(SysNFBasis(101, (5,)), size_guard=50)
+            assert ln_membership(s, pts).all()
 
 
 class TestScaledDual:
     def test_zero_parameter(self):
-        assert enumerate_scaled_dual(SysNFBasis(5, (1,)))[0].coords == (0, 0)
+        assert enumerate_scaled_dual(SysNFBasis(5, (1,)))[0].tolist() == [0, 0]
 
     def test_example_point(self):
-        assert enumerate_scaled_dual(SysNFBasis(5, (1,)))[2].coords == (2, 3)
+        assert enumerate_scaled_dual(SysNFBasis(5, (1,)))[2].tolist() == [2, 3]
 
     def test_cardinality_and_membership(self):
         for s in (SysNFBasis(5, (1,)), SysNFBasis(7, (1, 2))):
             duals = enumerate_scaled_dual(s)
-            assert len({d.coords for d in duals}) == s.N
-            assert all(scaled_dual_membership(s, d) for d in duals)
+            assert duals.shape == (s.N, s.n) and duals.dtype == np.int64
+            assert len(np.unique(duals, axis=0)) == s.N
+            assert scaled_dual_membership(s, duals).all()
 
 
 class TestPhi3:
     def test_lattice_points_map_to_zero(self):
         s = SysNFBasis(5, (1,))
-        for p in enumerate_ln(s):
-            assert phi3(s, p).coords == (0, 0)
+        assert (phi3(s, ln_points(s)) == 0).all()
 
     def test_worked_example(self):
         s = SysNFBasis(5, (1,))
-        y = phi3(s, ModVector(5, (1, 0)))
-        assert y.coords == (2, 3)
-        assert ln_membership(s, ModVector(5, (1, 0)) + y)
+        y = phi3(s, (1, 0))
+        assert y.tolist() == [2, 3]
+        assert ln_membership(s, (1, 0) + y)
         # Brute force: the parameter value is the unique one that works.
-        good = [
-            a
-            for a in range(5)
-            if ln_membership(s, ModVector(5, (1 + a, -a % 5)))
-        ]
+        good = [a for a in range(5) if ln_membership(s, (1 + a, -a))]
         assert good == [2]
 
     @pytest.mark.parametrize("s", [SysNFBasis(5, (1,)), SysNFBasis(7, (1,))])
@@ -193,20 +170,20 @@ class TestPhi3:
         reps = {}
         for x1 in range(s.N):
             for x2 in range(s.N):
-                x = ModVector(s.N, (x1, x2))
+                x = (x1, x2)
                 y = phi3(s, x)
                 assert ln_membership(s, x + y)
                 assert scaled_dual_membership(s, y)
-                images.add(y.coords)
+                images.add(tuple(y.tolist()))
                 coset = (x1 - x2 * s.b[0]) % s.N
                 if coset in reps:
-                    assert reps[coset] == y.coords  # constant on cosets
-                reps[coset] = y.coords
+                    assert reps[coset] == tuple(y.tolist())  # constant on cosets
+                reps[coset] = tuple(y.tolist())
         assert len(images) == s.N
 
     def test_invalid_basis_raises(self):
         with pytest.raises(ConditionError):
-            phi3(SysNFBasis(4, (1,)), ModVector(4, (1, 0)))
+            phi3(SysNFBasis(4, (1,)), (1, 0))
 
 
 class TestReduction:
