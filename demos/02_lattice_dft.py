@@ -18,7 +18,7 @@ dev = np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max()
 print(f"unitarity deviation ||F*F - I||_max = {dev:.2e}")
 
 # Shifting by a lattice vector before the transform equals phasing after it.
-worst = max(check_shift_phase(s, v) for v in ln_points(s)[:10])
+worst = check_shift_phase(s, ln_points(s)[:10])
 print(f"shift-phase conjugacy deviation (10 shifts) = {worst:.2e}")
 
 # F^2 permutes x to -x and F^4 is the identity, like the classical DFT.

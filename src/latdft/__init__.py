@@ -14,12 +14,10 @@ The package is organized around six areas:
 
 from .intlat import (
     ExactMatrix,
-    GramSchmidtData,
     brute_force_cvp,
     coefficients_in_basis,
     determinant,
     dual_basis,
-    gram_schmidt,
     hnf,
     lll_reduce,
     membership,

@@ -199,10 +199,7 @@ def criterion_5_phi3_bijection() -> CriterionResult:
 def criterion_6_shift_phase() -> CriterionResult:
     cases = [SysNFBasis(5, (1,)), SysNFBasis(5, (1, 2))]
     def run():
-        worst = 0.0
-        for s in cases:
-            for v in ln_points(s):
-                worst = max(worst, check_shift_phase(s, v))
+        worst = max(check_shift_phase(s, ln_points(s)) for s in cases)
         return worst <= 1e-10, f"max conjugacy deviation over all lattice shifts = {worst:.2e}"
 
     return _timed(6, "shift-phase conjugacy", run)

@@ -48,8 +48,11 @@ class LatticeFunction:
 
 
 def _check_member(s: SysNFBasis, x) -> None:
-    if not ln_membership(s, x):
-        raise MembershipError(f"{tuple(np.asarray(x).tolist())} is not a point of L_N")
+    """Raise MembershipError unless every point of x (one point or a stack) lies in L_N."""
+    ok = ln_membership(s, x)
+    if not ok.all():
+        bad = np.asarray(x).reshape(-1, s.n)[~ok.reshape(-1)][0]
+        raise MembershipError(f"{tuple(bad.tolist())} is not a point of L_N")
 
 
 def character(s: SysNFBasis, x, z) -> complex:
@@ -105,20 +108,24 @@ def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
 
 
 def check_shift_phase(s: SysNFBasis, v) -> float:
-    """Max entrywise deviation of F U_v - W_v F over all basis states.
+    """Max entrywise deviation of F U_v - W_v F over all basis states and shifts v.
 
+    v is one point of L_N or a stack of them, coordinates along the last axis.
     U_v is the lattice shift |x> -> |x + v mod N>, W_v the matching character
     phase |x> -> exp(-2 pi i <v, x> / N) |x>; the two are conjugate through
     the transform whenever v lies in L_N.  F U_v gathers the columns of F at
-    the shifted points and W_v F scales its rows, so neither operator is built.
+    the shifted points and W_v F scales its rows, so neither operator is built;
+    F itself is built once for all shifts, which are checked one at a time.
     """
     _check_member(s, v)
-    v = np.asarray(v, dtype=np.int64) % s.N
     f = dft_matrix(s).matrix
     pts = ln_points(s)
-    lhs = f[:, ln_index(s, (pts[:, 1:] + v[1:]) % s.N)]
-    rhs = np.exp(-2j * np.pi * (pts @ v % s.N) / s.N)[:, None] * f
-    return float(np.abs(lhs - rhs).max())
+    worst = 0.0
+    for shift in np.asarray(v, dtype=np.int64).reshape(-1, s.n) % s.N:
+        lhs = f[:, ln_index(s, (pts[:, 1:] + shift[1:]) % s.N)]
+        rhs = np.exp(-2j * np.pi * (pts @ shift % s.N) / s.N)[:, None] * f
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def check_fourth_power(s: SysNFBasis) -> tuple[float, float]:

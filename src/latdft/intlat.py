@@ -10,10 +10,10 @@ The scalar kernels are fraction-free.  An ``ExactMatrix`` keeps its integer
 form D A and one Bareiss elimination pass (det, adj) of it, both computed on
 first use; ``inverse``, ``solve``, ``determinant``, ``membership``,
 ``coefficients_in_basis``, ``mul_vec`` and ``box_points`` read them in
-integer arithmetic.  ``lll_reduce`` holds its Gram-Schmidt data as integers,
-and ``nearest_plane`` runs Babai's rounding on the same integral data.
-``gram_schmidt``, ``is_size_reduced`` and ``satisfies_lovasz`` stay in
-Fraction arithmetic, as oracles.
+integer arithmetic.  There is one Gram-Schmidt, held as integers (Cohen's
+integral data d and lam): ``lll_reduce`` updates it in place, ``nearest_plane``
+and ``nearest_plane_rows`` run Babai's rounding on it, and the
+``is_size_reduced`` and ``satisfies_lovasz`` oracles read it.
 
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
 build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
@@ -30,7 +30,6 @@ stay as their test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -55,15 +54,6 @@ def norm_sq(v: Sequence) -> Fraction:
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v, strict=True))
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(v: Sequence, c) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(a) for a in v)
 
 
 _SQRT_SCALE = 2**24
@@ -431,45 +421,6 @@ def coefficients_in_basis(b: ExactMatrix, v: Sequence) -> tuple[int, ...]:
     return tuple(x // den for x in y)
 
 
-# -- Gram-Schmidt ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GramSchmidtData:
-    """Exact Gram-Schmidt orthogonalization of basis columns.
-
-    ``orthogonal[i]`` is b*_i; ``mu[i][j]`` (j < i) are the projection
-    coefficients, so b_i = b*_i + sum_j mu[i][j] b*_j holds exactly.
-    """
-
-    orthogonal: tuple[Vec, ...]
-    mu: tuple[tuple[Fraction, ...], ...]
-
-    def reconstruct_column(self, i: int) -> Vec:
-        v = self.orthogonal[i]
-        for j in range(i):
-            v = vec_add(v, vec_scale(self.orthogonal[j], self.mu[i][j]))
-        return v
-
-
-def gram_schmidt(b: ExactMatrix) -> GramSchmidtData:
-    cols = b.columns()
-    ortho: list[Vec] = []
-    mus: list[tuple[Fraction, ...]] = []
-    for i, v in enumerate(cols):
-        row = []
-        w = as_fraction_vec(v)
-        for j in range(i):
-            m_ij = dot(v, ortho[j]) / norm_sq(ortho[j])
-            row.append(m_ij)
-            w = vec_sub(w, vec_scale(ortho[j], m_ij))
-        if norm_sq(w) == 0:
-            raise RankError("linearly dependent columns")
-        ortho.append(w)
-        mus.append(tuple(row))
-    return GramSchmidtData(tuple(ortho), tuple(mus))
-
-
 # -- LLL ----------------------------------------------------------------------
 
 
@@ -557,20 +508,28 @@ def _round_half_even(num: int, den: int) -> int:
 
 
 def is_size_reduced(b: ExactMatrix) -> bool:
-    gs = gram_schmidt(b)
-    return all(
-        abs(gs.mu[i][j]) <= Fraction(1, 2) for i in range(b.ncols) for j in range(i)
-    )
+    """|mu_ij| <= 1/2 for all j < i, read as 2 |lam_ij| <= d[j+1] on the integer form.
+
+    Scaling a basis leaves every mu_ij unchanged, so rational bases are
+    judged by their integer form D b.
+    """
+    d, lam = _integral_gram(list(zip(*b.integer_form()[1])))
+    return all(2 * abs(lam[i][j]) <= d[j + 1] for i in range(b.ncols) for j in range(i))
 
 
 def satisfies_lovasz(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
-    gs = gram_schmidt(b)
-    for k in range(1, b.ncols):
-        lhs = norm_sq(gs.orthogonal[k])
-        rhs = (Fraction(delta) - gs.mu[k][k - 1] ** 2) * norm_sq(gs.orthogonal[k - 1])
-        if lhs < rhs:
-            return False
-    return True
+    """||b*_k||^2 >= (delta - mu_k,k-1^2) ||b*_k-1||^2 for every k, in integers.
+
+    With delta = p / q this is the test :func:`lll_reduce` makes, q (d[k+1]
+    d[k-1] + lam_k,k-1^2) >= p d[k]^2, on the integer form D b; the
+    condition is invariant under scaling the basis.
+    """
+    delta = Fraction(delta)
+    p, q = delta.numerator, delta.denominator
+    d, lam = _integral_gram(list(zip(*b.integer_form()[1])))
+    return all(
+        q * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= p * d[k] ** 2 for k in range(1, b.ncols)
+    )
 
 
 # -- Babai nearest plane ---------------------------------------------------------
@@ -667,23 +626,29 @@ def nearest_plane_rows(b: ExactMatrix, targets: np.ndarray) -> np.ndarray:
     """Babai's nearest-plane lattice point for every int64 row of targets.
 
     Exactly :func:`nearest_plane` row by row for an integer basis.  Each
-    b*_j / ||b*_j||^2 is scaled once to an integer vector a_j over a positive
-    integer q_j, so every coefficient is p / q_j with p = <rem, a_j>, rounded
-    as ``round`` rounds a Fraction: p // q_j, plus one when the remainder is
-    above half, or exactly half and the quotient odd.  Raises SizeGuardError
-    unless every intermediate provably fits int64.
+    b*_j / ||b*_j||^2 is the integer vector a_j = d[j] b*_j over the positive
+    integer q_j = d[j+1], from the integral Gram-Schmidt data (d, lam), both
+    divided by their gcd so that the bounds below are the least possible.
+    Every coefficient is p / q_j with p = <rem, a_j>, rounded as ``round``
+    rounds a Fraction: p // q_j, plus one when the remainder is above half,
+    or exactly half and the quotient odd.  Raises SizeGuardError unless
+    every intermediate provably fits int64.
     """
     if not b.is_integer():
         raise ValueError("nearest_plane_rows requires an integer basis")
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim != 2 or targets.shape[1] != b.ncols:
         raise ValueError(f"targets must be rows of length {b.ncols}")
-    planes = []
-    for v in gram_schmidt(b).orthogonal:
-        h = vec_scale(v, 1 / norm_sq(v))
-        q = math.lcm(*(x.denominator for x in h))
-        planes.append(([int(x * q) for x in h], q))
     cols = [[int(x) for x in b.column(j)] for j in range(b.ncols)]
+    d, lam = _integral_gram(cols)
+    # Coordinate k of a_j is d[j+1] <e_k, b*_j> / ||b*_j||^2, the projection of e_k.
+    coords = [[0] * b.ncols for _ in range(b.nrows)]
+    for k, row in enumerate(coords):
+        _integral_projections([int(i == k) for i in range(b.nrows)], cols, d, lam, row)
+    planes = []
+    for j, a in enumerate(zip(*coords)):
+        g = math.gcd(d[j + 1], *a)
+        planes.append(([x // g for x in a], d[j + 1] // g))
     # |rem| <= reach entrywise before each step; every product below is bounded by it.
     reach = max(_max_abs(targets), 1)
     for j in range(b.ncols - 1, -1, -1):

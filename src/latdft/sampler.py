@@ -37,7 +37,7 @@ from .intlat import (
     voronoi_relevant,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ReductionCertificate, ln_first, ln_index, reduce_to_sysnf
+from .sysnf import ReductionCertificate, ln_first, ln_index, phi3, reduce_to_sysnf
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
@@ -264,13 +264,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
             )
 
     # Step 3: coset alignment x = u + y with y the scaled-dual tag of u's coset.
-    inv = s.condition_inverse()
-    b_arr = np.array(s.b, dtype=np.int64)
-    u_mod = u % big_n
-    residue = (u_mod[:, 0] - u_mod[:, 1:] @ b_arr) % big_n
-    a_par = (-inv * residue) % big_n
-    y = np.column_stack([a_par, (-b_arr[None, :] * a_par[:, None]) % big_n])
-    x = (u_mod + y) % big_n
+    y = phi3(s, u)
+    x = (u + y) % big_n
 
     # Step 4: nearest-plane decode of the tag against the reduced scaled dual.
     dual_red = lll_reduce(dual_basis(s.to_matrix()).scale(big_n))

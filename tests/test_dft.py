@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latdft import intlat
+from latdft import dft, intlat
 from latdft.dft import (
     LatticeFunction,
     apply_dft,
@@ -207,10 +207,19 @@ class TestShiftPhase:
         v = tuple(pts[int(rng.integers(len(pts)))])
         assert check_shift_phase(S75, v) <= 1e-10
 
-    def test_exhaustive_small(self):
+    def test_exhaustive_small(self, monkeypatch):
+        # One call per basis covers every shift and builds F once.
+        builds = []
+        monkeypatch.setattr(dft, "dft_matrix", lambda s: builds.append(s) or dft_matrix(s))
         for s in (S5, S52):
-            for v in ln_points(s):
-                assert check_shift_phase(s, v) <= 1e-10
+            assert check_shift_phase(s, ln_points(s)) <= 1e-10
+        assert builds == [S5, S52]
+
+    def test_stack_is_max_over_single_shifts(self):
+        shifts = ln_points(S75)[5:17]
+        worst = check_shift_phase(S75, shifts)
+        assert worst == max(check_shift_phase(S75, v) for v in shifts)
+        assert check_shift_phase(S75, shifts.reshape(3, 4, 3)) == worst
 
     @pytest.mark.parametrize("s", [S5, S52, S75])
     def test_matches_dense_reference(self, s):
@@ -222,6 +231,8 @@ class TestShiftPhase:
     def test_non_member_rejected(self):
         with pytest.raises(MembershipError):
             check_shift_phase(S5, (1, 0))
+        with pytest.raises(MembershipError, match=r"\(1, 0\)"):
+            check_shift_phase(S5, [(1, 1), (1, 0), (2, 2)])
 
 
 class TestFourthPower:

@@ -1,24 +1,29 @@
 """The fraction-free kernels against the Fraction algorithms they replaced.
 
 ``intlat`` inverts, solves and takes determinants through one Bareiss pass on
-the integer form of a matrix, runs LLL and Babai's nearest plane on integral
-Gram-Schmidt data, and ``ReductionCertificate`` checks sigma and its error
-bound in integers.  The references below are the Fraction Gauss-Jordan
-elimination, the LLL that recomputes rational Gram-Schmidt after every swap
-and the nearest plane that rounds Fraction projections on rational
-Gram-Schmidt vectors; every property asserts exact equality, types included,
-against them.  Derandomized.
+the integer form of a matrix, runs LLL, Babai's nearest plane (scalar and
+batched) and the size-reduction and Lovasz oracles on integral Gram-Schmidt
+data, and ``ReductionCertificate`` checks sigma and its error bound in
+integers.  The references below are the Fraction Gauss-Jordan elimination,
+the rational Gram-Schmidt, the LLL that recomputes it after every swap, the
+nearest plane that rounds Fraction projections on its vectors and the
+oracles that read its mu and squared norms; every property asserts exact
+equality, types included, against them.  Derandomized.
 """
 
-from dataclasses import replace
+import math
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import latdft
 from latdft import intlat
-from latdft.errors import MembershipError, RankError
+from latdft.errors import MembershipError, RankError, SizeGuardError
 from latdft.intlat import (
     ExactMatrix,
     as_fraction_vec,
@@ -27,13 +32,14 @@ from latdft.intlat import (
     cvp_exact,
     determinant,
     dot,
-    gram_schmidt,
+    is_size_reduced,
     lll_reduce,
     membership,
     nearest_plane,
+    nearest_plane_rows,
     norm_sq,
+    satisfies_lovasz,
     sqrt_upper_bound,
-    vec_scale,
     vec_sub,
 )
 from latdft.sysnf import reduce_to_sysnf
@@ -42,6 +48,62 @@ PROPS = settings(derandomize=True, deadline=None, max_examples=30)
 
 
 # -- Fraction references ----------------------------------------------------------
+
+
+def vec_scale(v, c) -> tuple:
+    c = Fraction(c)
+    return tuple(c * Fraction(a) for a in v)
+
+
+@dataclass(frozen=True)
+class GramSchmidtData:
+    """Exact Gram-Schmidt orthogonalization of basis columns.
+
+    ``orthogonal[i]`` is b*_i; ``mu[i][j]`` (j < i) are the projection
+    coefficients, so b_i = b*_i + sum_j mu[i][j] b*_j holds exactly.
+    """
+
+    orthogonal: tuple
+    mu: tuple
+
+    def reconstruct_column(self, i: int) -> tuple:
+        v = self.orthogonal[i]
+        for j in range(i):
+            v = vec_sub(v, vec_scale(self.orthogonal[j], -self.mu[i][j]))
+        return v
+
+
+def gram_schmidt(b: ExactMatrix) -> GramSchmidtData:
+    cols = b.columns()
+    ortho = []
+    mus = []
+    for i, v in enumerate(cols):
+        row = []
+        w = as_fraction_vec(v)
+        for j in range(i):
+            m_ij = dot(v, ortho[j]) / norm_sq(ortho[j])
+            row.append(m_ij)
+            w = vec_sub(w, vec_scale(ortho[j], m_ij))
+        if norm_sq(w) == 0:
+            raise RankError("linearly dependent columns")
+        ortho.append(w)
+        mus.append(tuple(row))
+    return GramSchmidtData(tuple(ortho), tuple(mus))
+
+
+def ref_is_size_reduced(b: ExactMatrix) -> bool:
+    gs = gram_schmidt(b)
+    return all(abs(gs.mu[i][j]) <= Fraction(1, 2) for i in range(b.ncols) for j in range(i))
+
+
+def ref_satisfies_lovasz(b: ExactMatrix, delta=Fraction(3, 4)) -> bool:
+    gs = gram_schmidt(b)
+    for k in range(1, b.ncols):
+        lhs = norm_sq(gs.orthogonal[k])
+        rhs = (Fraction(delta) - gs.mu[k][k - 1] ** 2) * norm_sq(gs.orthogonal[k - 1])
+        if lhs < rhs:
+            return False
+    return True
 
 
 def ref_mul_vec(m: ExactMatrix, v) -> tuple:
@@ -127,6 +189,30 @@ def ref_nearest_plane(b: ExactMatrix, u) -> tuple:
         c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
         rem = vec_sub(rem, vec_scale(b.column(j), c))
     return vec_sub(as_fraction_vec(u), rem)
+
+
+def ref_planes(b: ExactMatrix) -> list:
+    """Each b*_j / ||b*_j||^2 as (integer vector, least common denominator)."""
+    planes = []
+    for v in gram_schmidt(b).orthogonal:
+        h = vec_scale(v, 1 / norm_sq(v))
+        q = math.lcm(*(x.denominator for x in h))
+        planes.append(([int(x * q) for x in h], q))
+    return planes
+
+
+def ref_row_bound(b: ExactMatrix, target_reach: int) -> int:
+    """Largest intermediate of the batched nearest plane on the reference planes.
+
+    The a-priori bound :func:`intlat.nearest_plane_rows` must keep below
+    2^63 for targets with entries up to target_reach.
+    """
+    reach, worst = max(target_reach, 1), 0
+    for j, (a, q) in reversed(list(enumerate(ref_planes(b)))):
+        dot_bound = reach * sum(abs(x) for x in a)
+        reach += (dot_bound // q + 1) * max(abs(int(x)) for x in b.column(j))
+        worst = max(worst, dot_bound, reach, 2 * q)
+    return worst
 
 
 def ref_integral_image(m: ExactMatrix, v) -> tuple:
@@ -369,19 +455,114 @@ def test_nearest_plane_rejects_wrong_length():
         nearest_plane(ExactMatrix([[2, 1], [0, 1]]), (1, 2, 3))
 
 
-def test_babai_and_cvp_build_no_fraction_gram_schmidt(monkeypatch):
+def test_babai_and_cvp_build_no_fraction_gram_schmidt():
+    for module in (intlat, latdft):
+        assert not hasattr(module, "gram_schmidt") and not hasattr(module, "GramSchmidtData")
     b = lll_reduce(ExactMatrix([[7, 3, 1], [2, 9, 4], [1, 5, 8]]))
     u = (Fraction(17, 3), Fraction(-5, 2), Fraction(11, 8))
     babai = ref_nearest_plane(b, u)
     best = brute_force_cvp(b, u, 6)
-
-    def refuse(_):
-        raise AssertionError("Fraction Gram-Schmidt built on the decode path")
-
-    monkeypatch.setattr(intlat, "gram_schmidt", refuse)
     assert nearest_plane(b, u) == babai
     assert cvp_exact(b, u) == best
     assert best.dist_sq <= norm_sq(vec_sub(u, babai))
+
+
+def test_nearest_plane_rows_guard_trips_where_reference_bound_reaches_int64():
+    # The integral planes must be the least ones: any larger a_j / q_j pair
+    # gives a larger a-priori bound and trips the guard earlier.
+    bases = [
+        ExactMatrix([[2, 1], [0, 1]]),
+        lll_reduce(ExactMatrix([[7, 3, 1], [2, 9, 4], [1, 5, 8]])),
+        lll_reduce(intlat.dual_basis(ExactMatrix([[130817, 3, 5], [0, 1, 0], [0, 0, 1]])).scale(130817)),
+    ]
+    for b in bases:
+        lo, hi = 0, 2**62  # the bound stays below 2^63 at lo and reaches it at hi
+        assert ref_row_bound(b, lo) < 2**63 <= ref_row_bound(b, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ref_row_bound(b, mid) >= 2**63 else (mid, hi)
+        with pytest.raises(SizeGuardError):
+            nearest_plane_rows(b, np.array([[hi] + [0] * (b.ncols - 1)], dtype=np.int64))
+        target = [lo] + [0] * (b.ncols - 1)
+        got = nearest_plane_rows(b, np.array([target], dtype=np.int64))
+        assert got.tolist() == [[int(x) for x in ref_nearest_plane(b, target)]]
+
+
+class TestGramSchmidt:
+    def test_exact_orthogonality_and_reconstruction(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 10:
+            b = ExactMatrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+            if determinant(b) == 0:
+                continue
+            gs = gram_schmidt(b)
+            for i in range(3):
+                for j in range(i):
+                    assert sum(a * c for a, c in zip(gs.orthogonal[i], gs.orthogonal[j])) == 0
+                assert gs.reconstruct_column(i) == as_fraction_vec(b.column(i))
+            checked += 1
+
+    def test_dependent_columns(self):
+        with pytest.raises(RankError):
+            gram_schmidt(ExactMatrix([[1, 2], [2, 4]]))
+
+
+# -- size-reduction and Lovasz oracles ---------------------------------------------------
+
+DELTAS = [Fraction(1, 3), Fraction(3, 4), Fraction(99, 100), Fraction(1)]
+
+oracle_bases = st.one_of(
+    nonsingular_integer(lo=1, hi=4, bound=9),
+    st.tuples(nonsingular_integer(lo=1, hi=4, bound=9), deltas).map(lambda bd: lll_reduce(*bd)),
+    # Integer or rational, square or with one more row, dependent columns included.
+    basis_and_targets().map(lambda bt: bt[0]),
+)
+
+
+@PROPS
+@given(oracle_bases)
+def test_reduction_oracles_match_fraction_reference(b):
+    assert same(outcome(is_size_reduced, b), outcome(ref_is_size_reduced, b))
+    for delta in DELTAS:
+        assert same(outcome(satisfies_lovasz, b, delta), outcome(ref_satisfies_lovasz, b, delta))
+
+
+@pytest.mark.parametrize(
+    "cols, reduced",
+    [
+        # |mu_10| = 1/2 exactly is size-reduced; 3/2 is not.
+        ([(2, 0), (1, 5)], True),
+        ([(2, 0), (-1, 5)], True),
+        ([(2, 0), (3, 5)], False),
+        ([("1/2", 0), ("1/4", "1/3")], True),
+        # mu_10 = 1/2, mu_20 = -1/2 and mu_21 = 1/2, then 3/2.
+        ([(2, 0, 0), (1, 2, 0), (-1, 1, 3)], True),
+        ([(2, 0, 0), (1, 2, 0), (-1, 3, 3)], False),
+    ],
+)
+def test_size_reduced_boundary(cols, reduced):
+    b = ExactMatrix.from_columns([as_fraction_vec(c) for c in cols])
+    assert is_size_reduced(b) is reduced
+    assert ref_is_size_reduced(b) is reduced
+
+
+@pytest.mark.parametrize(
+    "cols, delta, holds",
+    [
+        # In two columns the condition is ||b_1||^2 >= delta ||b_0||^2: equality holds.
+        ([(5, 0), (3, 4)], Fraction(1), True),
+        ([(3, 4), (5, 0)], Fraction(1), True),
+        ([("5/2", 0), ("3/2", 2)], Fraction(1), True),
+        ([(5, 0), (4, 2)], Fraction(1), False),
+        ([(2, 0, 0), (1, 1, 1)], Fraction(3, 4), True),
+        ([(2, 0, 0), (1, 1, 0)], Fraction(3, 4), False),
+    ],
+)
+def test_lovasz_boundary(cols, delta, holds):
+    b = ExactMatrix.from_columns([as_fraction_vec(c) for c in cols])
+    assert satisfies_lovasz(b, delta) is holds
+    assert ref_satisfies_lovasz(b, delta) is holds
 
 
 # -- reduction certificate ---------------------------------------------------------------

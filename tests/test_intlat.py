@@ -15,7 +15,6 @@ from latdft.intlat import (
     determinant,
     dual_basis,
     format_matrix_text,
-    gram_schmidt,
     hnf,
     is_hnf,
     is_size_reduced,
@@ -183,22 +182,6 @@ class TestMembership:
             bound_sq = norm_sq(v) * det * det
             assert all(Fraction(c) ** 2 <= bound_sq for c in coeffs)
             checked += 1
-
-
-class TestGramSchmidt:
-    def test_exact_orthogonality_and_reconstruction(self):
-        rng = random.Random(8)
-        for _ in range(10):
-            b = random_full_rank(rng, 3)
-            gs = gram_schmidt(b)
-            for i in range(3):
-                for j in range(i):
-                    assert sum(a * c for a, c in zip(gs.orthogonal[i], gs.orthogonal[j])) == 0
-                assert gs.reconstruct_column(i) == as_fraction_vec(b.column(i))
-
-    def test_dependent_columns(self):
-        with pytest.raises(RankError):
-            gram_schmidt(ExactMatrix([[1, 2], [2, 4]]))
 
 
 class TestLLL:
