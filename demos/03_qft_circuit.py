@@ -8,14 +8,7 @@ against the dense matrix on every basis state.
 import numpy as np
 
 from latdft import dft_matrix, simulate_sysnf_qft
-from latdft.qcirc import (
-    basis_state,
-    dense_deviation,
-    qft_mod_n,
-    step_apply_basis,
-    step_shear,
-    step_uncompute_first,
-)
+from latdft.qcirc import basis_state, circuit_steps, dense_deviation
 from latdft.sysnf import SysNFBasis
 
 
@@ -32,17 +25,9 @@ def show(label, psi, limit=6):
 s = SysNFBasis(5, (1,))
 x = (3, 3)
 print(f"tracing |{x}> through the circuit for N={s.N}, b={s.b}")
-psi = basis_state(s.N, s.n, x)
-show("input        ", psi)
-psi = step_shear(s, psi)
-show("after shear  ", psi)
-psi = step_uncompute_first(s, psi)
-show("after drop   ", psi)
-for reg in range(psi.n):
-    psi = qft_mod_n(psi, reg)
-show("after QFTs   ", psi)
-psi = step_apply_basis(s, psi)
-show("final        ", psi)
+labels = ["input", "after shear", "after drop", "after QFTs", "final"]
+for label, (_, psi) in zip(labels, circuit_steps(s, basis_state(s.N, s.n, x))):
+    show(f"{label:<13}", psi)
 
 # Exhaustive agreement with the dense transform.
 cm = dft_matrix(s)

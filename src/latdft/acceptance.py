@@ -20,6 +20,7 @@ from .dft import (
     check_fourth_power,
     check_shift_phase,
     dft_matrix,
+    eigen_explore,
     full_grid_dft_restricted,
     smoothness_estimate,
 )
@@ -209,15 +210,22 @@ def criterion_7_fourth_power() -> CriterionResult:
     def run():
         worst2 = worst4 = worst_eig = 0.0
         roots = np.array([1, 1j, -1, -1j])
-        for s in _validated_instances():
+        instances = _validated_instances()
+        for s in instances:
             d2, d4 = check_fourth_power(s)
             worst2, worst4 = max(worst2, d2), max(worst4, d4)
-            vals = np.linalg.eigvals(dft_matrix(s).matrix)
-            worst_eig = max(worst_eig, float(np.abs(vals[:, None] - roots[None, :]).min(axis=1).max()))
+            dist = np.abs(np.linalg.eigvals(dft_matrix(s).matrix)[:, None] - roots)
+            worst_eig = max(worst_eig, float(dist.min(axis=1).max()))
+            # The dense spectrum, grouped by nearest root, against the exact counts.
+            counts = np.bincount(dist.argmin(axis=1), minlength=4).tolist()
+            exact = eigen_explore(s)
+            if counts != [exact[label] for label in ("+1", "+i", "-1", "-i")]:
+                return False, f"dense multiplicities {counts} != exact {exact} at N={s.N}"
         ok = worst2 <= 1e-10 and worst4 <= 1e-10 and worst_eig <= 1e-8
         return ok, (
             f"||F^2 - negation|| = {worst2:.2e}, ||F^4 - I|| = {worst4:.2e}, "
-            f"spectrum distance to 4th roots = {worst_eig:.2e}"
+            f"spectrum distance to 4th roots = {worst_eig:.2e}, "
+            f"nearest-root counts equal the exact multiplicities on {len(instances)} instances"
         )
 
     return _timed(7, "fourth-power structure", run)
@@ -344,10 +352,10 @@ def criterion_12_smoothness() -> CriterionResult:
         centered = np.where(coords > 4, coords - 8, coords)
         r2 = (centered**2).sum(axis=1).reshape(8, 8)
         wide = np.exp(-np.pi * r2 / (80.0**2))
-        est_wide = smoothness_estimate(s, wide, samples=1000, seed=123)
+        est_wide = smoothness_estimate(s, wide)
         delta = np.zeros((8, 8))
         delta[0, 0] = 1.0
-        est_delta = smoothness_estimate(s, delta, samples=1000, seed=123)
+        est_delta = smoothness_estimate(s, delta)
         ok = est_wide < 0.1 and est_delta > 0.9
         return ok, f"wide gaussian estimate = {est_wide:.4f} (< 0.1), delta estimate = {est_delta:.4f} (> 0.9)"
 

@@ -136,15 +136,7 @@ def cmd_dft(args) -> int:
 
 def cmd_qft_sim(args) -> int:
     from .errors import LatdftError
-    from .qcirc import (
-        basis_state,
-        dense_deviation,
-        qft_mod_n,
-        save_snapshot,
-        step_apply_basis,
-        step_shear,
-        step_uncompute_first,
-    )
+    from .qcirc import basis_state, circuit_steps, dense_deviation, save_snapshot
     from .sysnf import ln_membership
 
     loaded = _load_transform(args)
@@ -159,17 +151,8 @@ def cmd_qft_sim(args) -> int:
         except (ValueError, LatdftError) as exc:
             print(f"error: bad --dump-state: {exc}", file=sys.stderr)
             return 1
-        psi = basis_state(basis.N, basis.n, coords)
-        save_snapshot(psi, outdir / "step0_input")
-        psi = step_shear(basis, psi)
-        save_snapshot(psi, outdir / "step1_shear")
-        psi = step_uncompute_first(basis, psi)
-        save_snapshot(psi, outdir / "step2_uncompute")
-        for reg in range(psi.n):
-            psi = qft_mod_n(psi, reg)
-        save_snapshot(psi, outdir / "step3_qft")
-        psi = step_apply_basis(basis, psi)
-        save_snapshot(psi, outdir / "step4_output")
+        for name, psi in circuit_steps(basis, basis_state(basis.N, basis.n, coords)):
+            save_snapshot(psi, outdir / name)
 
     worst = dense_deviation(basis, cm.matrix)
     report = {

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import intlat
 from .errors import MembershipError, SizeGuardError, ZeroMassError
-from .sysnf import SysNFBasis, ln_index, ln_membership, ln_points
+from .sysnf import SysNFBasis, ln_first, ln_index, ln_membership, ln_points
 
 
 @dataclass(frozen=True)
@@ -144,70 +144,57 @@ def check_fourth_power(s: SysNFBasis) -> tuple[float, float]:
     return float(np.abs(f2).max()), float(np.abs(f4).max())
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    """Numerically computed spectrum of the transform; diagnostic only."""
+def eigen_explore(s: SysNFBasis) -> dict[str, int]:
+    """Exact multiplicity of each eigenvalue +1, +i, -1, -i of the transform.
 
-    eigenvalues: np.ndarray
-    multiplicities: dict
-    eigenvectors: dict
-    max_residual: float
-
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities.values())
-
-
-_FOURTH_ROOTS = {"+1": 1.0 + 0j, "+i": 1j, "-1": -1.0 + 0j, "-i": -1j}
-
-
-def eigen_explore(s: SysNFBasis) -> EigenReport:
-    """Eigenvalue multiplicity table and per-eigenspace bases of the transform.
-
-    Since F^4 = I on a valid basis, eigenvalues cluster on the fourth roots of
-    unity; vectors are grouped by the nearest root.
+    F^4 = I, so the multiplicity of i^k is m_k = 1/4 sum_j i^(-jk) tr F^j
+    (McClellan & Parks 1972 for the classical DFT), with tr F^0 = |L_N|,
+    tr F^2 the number of points with 2x = 0 (1 for odd N, 2^(n-1) for even
+    N), tr F^3 = conj(tr F), and tr F the Gauss sum
+    |L_N|^(-1/2) sum_x exp(-2 pi i <x, x> / N), taken from a histogram of
+    <x, x> mod N.  More than ``intlat.BOX_GUARD`` points raise
+    :class:`SizeGuardError` before the histogram is built; an invalid basis,
+    where F^2 is not the negation, raises :class:`ConditionError`.
     """
-    cm = dft_matrix(s)
-    vals, vecs = np.linalg.eig(cm.matrix)
-    residuals = np.abs(cm.matrix @ vecs - vecs * vals).max(axis=0)
-    mult: dict[str, int] = {}
-    spaces: dict[str, np.ndarray] = {}
-    for label in _FOURTH_ROOTS:
-        sel = np.array(
-            [min(_FOURTH_ROOTS, key=lambda k: abs(v - _FOURTH_ROOTS[k])) == label for v in vals]
-        )
-        mult[label] = int(sel.sum())
-        spaces[label] = vecs[:, sel]
-    return EigenReport(vals, mult, spaces, float(residuals.max()))
+    m = s.N ** (s.n - 1)
+    if m > intlat.BOX_GUARD:
+        raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
+    s.condition_inverse()
+    norm_sq = ln_first(s).reshape((s.N,) * (s.n - 1))
+    norm_sq *= norm_sq
+    for axis in np.indices((s.N,) * (s.n - 1), dtype=np.int64, sparse=True):
+        norm_sq += axis * axis
+    counts = np.bincount(norm_sq.reshape(-1) % s.N)
+    trace1 = counts @ np.exp(np.arange(len(counts)) * (-2j * np.pi / s.N)) / np.sqrt(m)
+    traces = [m, trace1, 2 ** (s.n - 1) if s.N % 2 == 0 else 1, np.conj(trace1)]
+    mult = {}
+    for k, label in enumerate(("+1", "+i", "-1", "-i")):
+        value = sum(t * 1j ** (-j * k) for j, t in enumerate(traces)).real / 4
+        mult[label] = round(value)
+        if abs(value - mult[label]) > 1e-6:
+            raise RuntimeError(f"multiplicity of {label} = {value} is not an integer")
+    if sum(mult.values()) != m:
+        raise RuntimeError(f"multiplicities {mult} do not sum to |L_N| = {m}")
+    return mult
 
 
-def smoothness_estimate(
-    s: SysNFBasis, fhat: np.ndarray, samples: int, seed: int
-) -> float:
-    """Monte Carlo estimate of the shift-smoothness defect of a grid function.
+def smoothness_estimate(s: SysNFBasis, fhat: np.ndarray) -> float:
+    """Shift-smoothness defect of a grid function, exact over every shift.
 
-    Samples integer shifts v = (k, 0, ..., 0) from the fundamental
-    parallelotope (its integer points are exactly those) and returns the
-    largest observed shortfall 1 - sum_L fhat(x - v)^2 / sum_L fhat(x)^2,
-    clipped at 0.  Deterministic for a fixed seed.
+    The integer shifts v = (k, 0, ..., 0), k in Z_N, are exactly the integer
+    points of the fundamental parallelotope; returns the largest shortfall
+    1 - sum_L fhat(x - v)^2 / sum_L fhat(x)^2 over all of them, clipped at 0.
+    With the grid viewed as (x_1, tail) rows, the L_N point of each tail moves
+    to row x_1 - k, so every shift is one gather.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if fhat.shape != (s.N,) * s.n:
         raise ValueError(f"expected grid of shape {(s.N,) * s.n}")
-    power = np.abs(fhat) ** 2
-    pts = ln_points(s)
-    base = power[tuple(pts.T)].sum()
-    if base == 0:
+    power = (np.abs(fhat) ** 2).reshape(s.N, -1)
+    x1 = ln_first(s)
+    shifted = power[(x1 - np.arange(s.N)[:, None]) % s.N, np.arange(len(x1))].sum(axis=1)
+    if shifted[0] == 0:
         raise ZeroMassError("grid function has zero squared mass on the lattice")
-    rng = np.random.default_rng(seed)
-    shifts = rng.integers(0, s.N, size=samples)
-    worst = 0.0
-    for k in set(int(k) for k in shifts):
-        shifted = pts.copy()
-        shifted[:, 0] = (shifted[:, 0] - k) % s.N
-        ratio = power[tuple(shifted.T)].sum() / base
-        worst = max(worst, 1.0 - float(ratio))
-    return worst
+    return max(0.0, float((1.0 - shifted / shifted[0]).max()))
 
 
 # -- exports -------------------------------------------------------------------

@@ -131,17 +131,34 @@ def lattice_membership_mask(s: SysNFBasis) -> np.ndarray:
     return mask.reshape(-1)
 
 
+def circuit_steps(s: SysNFBasis, psi: Statevector) -> Iterator[tuple[str, Statevector]]:
+    """The four-step circuit on a state supported on L_N, one named state per step.
+
+    Yields ``step0_input`` (psi itself), ``step1_shear``, ``step2_uncompute``,
+    ``step3_qft`` (after the transform of every register) and ``step4_output``.
+    Each state is computed when the next one is asked for, so a caller that
+    drops the previous state holds two at most.
+    """
+    yield "step0_input", psi
+    psi = step_shear(s, psi)
+    yield "step1_shear", psi
+    psi = step_uncompute_first(s, psi)
+    yield "step2_uncompute", psi
+    for reg in range(psi.n):
+        psi = qft_mod_n(psi, reg)
+    yield "step3_qft", psi
+    yield "step4_output", step_apply_basis(s, psi)
+
+
 def simulate_sysnf_qft(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Run the four-step circuit; basis states off L_N are returned unchanged."""
     _check_registers(s, psi, s.n)
     mask = lattice_membership_mask(s)
     # The on- and off-lattice parts are formed only where they are used, so
     # neither is held across the circuit.
-    state = step_shear(s, Statevector(s.N, s.n, np.where(mask, psi.amps, 0.0)))
-    state = step_uncompute_first(s, state)
-    for reg in range(state.n):
-        state = qft_mod_n(state, reg)
-    out = step_apply_basis(s, state).amps
+    for _, state in circuit_steps(s, Statevector(s.N, s.n, np.where(mask, psi.amps, 0.0))):
+        pass
+    out = state.amps
     out += np.where(mask, 0.0, psi.amps)
     return Statevector(s.N, s.n, out)
 

@@ -208,6 +208,9 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     if not 0 <= spec.grid_radius < math.inf:
         raise ParameterError("grid radius must be finite and non-negative")
     n = b.ncols
+    if n < 2:
+        # L_N is the single point 0 there, so every spec gives the point mass at 0.
+        raise ParameterError(f"sampling needs a basis of dimension at least 2, got {n}")
 
     # Step 1: nearby SysNF lattice with accuracy epsilon / (sqrt(n) det(B)),
     # using an integer upper bound for sqrt(n) (a smaller parameter only

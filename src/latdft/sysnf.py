@@ -296,12 +296,7 @@ def _rotation_to_front(n: int) -> ExactMatrix:
     return ExactMatrix.from_columns(cols)
 
 
-def reduce_to_sysnf(
-    b: ExactMatrix,
-    epsilon: Fraction,
-    delta_cap: int = DELTA_SEARCH_CAP,
-    scale_cap: int = SCALE_CAP,
-) -> ReductionCertificate:
+def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     """Reduce a full-rank integer basis to a nearby SysNF lattice.
 
     Pipeline: (1) column-style HNF; (2) scale by T, put 1s on the
@@ -332,16 +327,16 @@ def reduce_to_sysnf(
 
     t = max(1, math.ceil(Fraction(n) * det_abs / epsilon))
     while True:
-        cert = _reduce_with_scale(b, h, t, epsilon, delta_cap)
+        cert = _reduce_with_scale(b, h, t, epsilon)
         if cert is not None:
             return cert
         t *= 2
-        if t > scale_cap:
-            raise SearchExhaustedError(f"scale doubling exceeded cap {scale_cap}")
+        if t > SCALE_CAP:
+            raise SearchExhaustedError(f"scale doubling exceeded cap {SCALE_CAP}")
 
 
 def _reduce_with_scale(
-    b: ExactMatrix, h: ExactMatrix, t: int, epsilon: Fraction, delta_cap: int
+    b: ExactMatrix, h: ExactMatrix, t: int, epsilon: Fraction
 ) -> ReductionCertificate | None:
     """One pass of the pipeline at fixed scale t; None if the bound fails."""
     n = b.nrows
@@ -374,13 +369,13 @@ def _reduce_with_scale(
     first_row = [cols[j][0] for j in range(n)]
     cond_sum = sum(x * x for x in first_row[: n - 1]) + 1
     delta = None
-    for d in range(1, delta_cap + 1):
+    for d in range(1, DELTA_SEARCH_CAP + 1):
         if math.gcd(cond_sum, modulus_base + d) == 1:
             delta = d
             break
     if delta is None:
         raise SearchExhaustedError(
-            f"no coprime modulus offset within {delta_cap} candidates"
+            f"no coprime modulus offset within {DELTA_SEARCH_CAP} candidates"
         )
     modulus = modulus_base + delta
 

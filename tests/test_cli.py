@@ -213,6 +213,21 @@ class TestSample:
         err = capsys.readouterr().err
         assert "singular" in err and "Traceback" not in err
 
+    def test_one_dimensional_basis_exit_one(self, files, capsys):
+        (files / "one_d.txt").write_text("1 1\n7\n")
+        config = {
+            "basis": str(files / "one_d.txt"),
+            "spec": {"kind": "gaussian", "s": 16.0},
+            "epsilon": "1/16",
+            "shots": 10,
+            "seed": 1,
+        }
+        cfg = files / "one_d_cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "dimension at least 2" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "config",
         [

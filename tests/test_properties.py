@@ -1,6 +1,7 @@
 """Property tests of the shared enumeration core, the int64 row kernels, the
-Voronoi-cell test, the canonical L_N order, the compressed lattice QFT, HNF,
-LLL, the reduction certificate and the coset bijection phi3.
+Voronoi-cell test, the canonical L_N order, the compressed lattice QFT, the
+exact spectrum and smoothness defect of the lattice DFT, HNF, LLL, the
+reduction certificate and the coset bijection phi3.
 
 Derandomized, so every run draws the same examples.
 """
@@ -38,7 +39,13 @@ from latdft.intlat import (
     vec_sub,
     voronoi_relevant,
 )
-from latdft.dft import LatticeFunction, dft_matrix, full_grid_dft_restricted
+from latdft.dft import (
+    LatticeFunction,
+    dft_matrix,
+    eigen_explore,
+    full_grid_dft_restricted,
+    smoothness_estimate,
+)
 from latdft.qcirc import lattice_qft_values, unshear_slabs
 from latdft.sysnf import (
     SysNFBasis,
@@ -487,6 +494,48 @@ def test_lattice_qft_values_equals_dense_dft(s, seed):
     out = lattice_qft_values(s, v)
     assert np.abs(out - dft_matrix(s).matrix @ v).max() <= 1e-10
     assert np.abs(out - full_grid_dft_restricted(s, LatticeFunction(s, v))).max() <= 1e-10
+
+
+# Largest N per dimension n that keeps |L_N| = N^(n-1) at 400 or less.
+_SPECTRUM_CAP = {1: 60, 2: 400, 3: 20, 4: 7}
+
+
+@st.composite
+def small_sysnf_basis(draw):
+    n = draw(st.integers(1, 4))
+    big_n = draw(st.integers(1, _SPECTRUM_CAP[n]))
+    b = draw(st.lists(st.integers(0, big_n - 1), min_size=n - 1, max_size=n - 1))
+    return SysNFBasis(big_n, tuple(b))
+
+
+@PROPS
+@given(small_sysnf_basis())
+def test_eigen_explore_equals_dense_nearest_root_counts(s):
+    if not s.is_valid:
+        with pytest.raises(ConditionError):
+            eigen_explore(s)
+        return
+    roots = np.array([1, 1j, -1, -1j])
+    vals = np.linalg.eigvals(dft_matrix(s).matrix)
+    counts = np.bincount(np.abs(vals[:, None] - roots).argmin(axis=1), minlength=4)
+    assert eigen_explore(s) == dict(zip(("+1", "+i", "-1", "-i"), counts.tolist()))
+
+
+@PROPS
+@given(small_sysnf_basis(), st.integers(0, 2**32 - 1))
+def test_smoothness_estimate_equals_per_shift_loop(s, seed):
+    rng = np.random.default_rng(seed)
+    shape = (s.N,) * s.n
+    fhat = rng.random(shape) ** 4 * np.exp(2j * np.pi * rng.random(shape))
+    pts = ln_points(s)
+    power = np.abs(fhat) ** 2
+    base = power[tuple(pts.T)].sum()
+    worst = 0.0
+    for k in range(s.N):
+        shifted = pts.copy()
+        shifted[:, 0] = (shifted[:, 0] - k) % s.N
+        worst = max(worst, 1.0 - float(power[tuple(shifted.T)].sum() / base))
+    assert smoothness_estimate(s, fhat) == worst
 
 
 @st.composite

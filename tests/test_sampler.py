@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latdft import intlat
+from latdft import intlat, sampler
 from latdft.errors import ParameterError, RankError, SizeGuardError, ZeroMassError
 from latdft.intlat import ExactMatrix, lambda1_sq, membership
 from latdft.sampler import (
@@ -178,6 +178,16 @@ class TestSample:
         for eps in (Fraction(0), Fraction(1)):
             with pytest.raises(ParameterError):
                 sample(spec, B_ACCEPT, eps, shots=1, seed=0)
+
+    def test_one_dimensional_basis(self, monkeypatch):
+        # L_N is one point for n = 1; the basis is refused before any reduction.
+        def no_reduction(*args):
+            raise AssertionError("reduce_to_sysnf was called")
+
+        monkeypatch.setattr(sampler, "reduce_to_sysnf", no_reduction)
+        spec = gaussian_spec(1 / 16, grid_radius=1.0)
+        with pytest.raises(ParameterError, match="dimension at least 2, got 1"):
+            sample(spec, ExactMatrix([[7]]), Fraction(1, 4), shots=1, seed=0)
 
     def test_singular_basis(self):
         spec = gaussian_spec(1 / 16, grid_radius=1.0)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latdft import sysnf
 from latdft.dft import dft_matrix
 from latdft.errors import (
     ConditionError,
@@ -270,9 +271,19 @@ class TestReduction:
         assert set(payload) == {"n", "N", "b", "T", "delta", "sigma", "epsilon"}
         assert payload["epsilon"] == "1/16"
 
-    def test_delta_cap_exhaustion(self):
-        with pytest.raises(SearchExhaustedError):
-            reduce_to_sysnf(ExactMatrix([[2, 1], [0, 1]]), Fraction(1, 16), delta_cap=0)
+    def test_delta_cap_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(sysnf, "DELTA_SEARCH_CAP", 0)
+        with pytest.raises(SearchExhaustedError, match="within 0 candidates"):
+            reduce_to_sysnf(ExactMatrix([[2, 1], [0, 1]]), Fraction(1, 16))
+
+    def test_scale_cap_exhaustion(self, monkeypatch):
+        # I_2 at epsilon 1/2 starts at T = 4 and needs one doubling to T = 8.
+        i2 = ExactMatrix([[1, 0], [0, 1]])
+        monkeypatch.setattr(sysnf, "SCALE_CAP", 8)
+        assert reduce_to_sysnf(i2, Fraction(1, 2)).T == 8
+        monkeypatch.setattr(sysnf, "SCALE_CAP", 7)
+        with pytest.raises(SearchExhaustedError, match="exceeded cap 7"):
+            reduce_to_sysnf(i2, Fraction(1, 2))
 
     def test_random_bases_full_contract(self):
         rng = random.Random(77)
