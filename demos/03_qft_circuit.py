@@ -1,8 +1,9 @@
 """Statevector walk through the four-step transform circuit.
 
 Traces one lattice basis state through shear, uncompute, per-register
-transforms, and the basis re-application, then checks the full circuit
-against the dense matrix on every basis state.
+transforms, and the basis re-application, then checks the transform against
+the dense matrix on every basis state (through the compressed path) and the
+full circuit once on a random state over the whole register space.
 """
 
 import numpy as np

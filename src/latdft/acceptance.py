@@ -87,37 +87,29 @@ def _validated_instances() -> list[SysNFBasis]:
     return out
 
 
-def _timed(number, name, fn) -> CriterionResult:
+def _timed(number, name, fn, budget=None) -> CriterionResult:
+    """Run one criterion; ``budget`` is (seconds, label), and a slower run fails."""
     t0 = time.time()
     try:
         passed, details = fn()
     except Exception as exc:  # a crash is a failure, not an abort
-        return CriterionResult(number, name, False, f"exception: {exc!r}", time.time() - t0)
-    return CriterionResult(number, name, passed, details, time.time() - t0)
+        passed, details = False, f"exception: {exc!r}"
+    seconds = time.time() - t0
+    if budget is not None and seconds > budget[0]:
+        passed, details = False, f"{details} (over {budget[1]} budget)"
+    return CriterionResult(number, name, passed, details, seconds)
 
 
 def criterion_1_unitarity() -> CriterionResult:
     def run():
-        valid = []
-        for n, N, b in INSTANCE_SET:
-            try:
-                valid.append((n, N, b, validate(SysNFBasis(N, b).to_matrix())))
-            except ConditionError:
-                if (n, N, b) in EXPECTED_VALID:
-                    return False, f"instance ({n},{N},{b}) unexpectedly rejected"
-        if {(n, N, b) for n, N, b, _ in valid} != EXPECTED_VALID:
+        valid = _validated_instances()
+        if {(s.n, s.N, s.b) for s in valid} != EXPECTED_VALID:
             return False, "validated set does not match the expected subset"
-        worst = 0.0
-        for n, N, b, s in valid:
-            cm = dft_matrix(s)
-            dev = float(np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max())
-            worst = max(worst, dev)
+        fs = [dft_matrix(s).matrix for s in valid]
+        worst = max(float(np.abs(f.conj().T @ f - np.eye(len(f))).max()) for f in fs)
         return worst <= 1e-10, f"{len(valid)} validated instances, max ||F*F - I|| = {worst:.2e}"
 
-    res = _timed(1, "unitarity", run)
-    if res.seconds > 10:
-        return CriterionResult(1, res.name, False, res.details + " (over 10s budget)", res.seconds)
-    return res
+    return _timed(1, "unitarity", run, budget=(10, "10s"))
 
 
 def criterion_2_circuit_equivalence() -> CriterionResult:
@@ -125,10 +117,7 @@ def criterion_2_circuit_equivalence() -> CriterionResult:
         worst = max(dense_deviation(s, dft_matrix(s).matrix) for s in _validated_instances())
         return worst <= 1e-10, f"max circuit/matrix amplitude deviation = {worst:.2e}"
 
-    res = _timed(2, "circuit equals dense transform", run)
-    if res.seconds > 30:
-        return CriterionResult(2, res.name, False, res.details + " (over 30s budget)", res.seconds)
-    return res
+    return _timed(2, "circuit equals dense transform", run, budget=(30, "30s"))
 
 
 def criterion_3_negative_control() -> CriterionResult:
@@ -259,10 +248,7 @@ def criterion_8_reduction_contract() -> CriterionResult:
                     checked += 1
         return True, f"20 bases x 2 tolerances, {checked} exact vector checks"
 
-    res = _timed(8, "reduction contract", run)
-    if res.seconds > 60:
-        return CriterionResult(8, res.name, False, res.details + " (over 60s budget)", res.seconds)
-    return res
+    return _timed(8, "reduction contract", run, budget=(60, "60s"))
 
 
 def criterion_9_nearest_plane_bound() -> CriterionResult:
@@ -319,10 +305,7 @@ def criterion_10_sampler_pac() -> CriterionResult:
             f"decode mismatch = {res.decode_mismatch_rate}, norm defect = {res.norm_defect:.1e}"
         )
 
-    res = _timed(10, "sampler PAC quality", run)
-    if res.seconds > 300:
-        return CriterionResult(10, res.name, False, res.details + " (over 5min budget)", res.seconds)
-    return res
+    return _timed(10, "sampler PAC quality", run, budget=(300, "5min"))
 
 
 def criterion_11_restriction_identity() -> CriterionResult:

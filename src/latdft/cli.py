@@ -112,9 +112,7 @@ def _load_transform(args):
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return basis, cm, outdir
+    return basis, cm, Path(args.out or ".")
 
 
 def cmd_dft(args) -> int:
@@ -126,6 +124,7 @@ def cmd_dft(args) -> int:
     if isinstance(loaded, int):
         return loaded
     basis, cm, outdir = loaded
+    outdir.mkdir(parents=True, exist_ok=True)
     export_character_matrix_csv(cm, outdir / "dft_matrix.csv", outdir / "dft_header.json")
     dev = float(np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max())
     print(f"order = {cm.order}")
@@ -135,7 +134,7 @@ def cmd_dft(args) -> int:
 
 
 def cmd_qft_sim(args) -> int:
-    from .errors import LatdftError
+    from .errors import LatdftError, SizeGuardError
     from .qcirc import basis_state, circuit_steps, dense_deviation, save_snapshot
     from .sysnf import ln_membership
 
@@ -143,6 +142,13 @@ def cmd_qft_sim(args) -> int:
     if isinstance(loaded, int):
         return loaded
     basis, cm, outdir = loaded
+    # The check comes first: its statevector guard bounds the snapshots too.
+    try:
+        worst = dense_deviation(basis, cm.matrix)
+    except SizeGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.dump_state:
         try:
             coords = tuple(int(t) % basis.N for t in args.dump_state.split(","))
@@ -153,8 +159,6 @@ def cmd_qft_sim(args) -> int:
             return 1
         for name, psi in circuit_steps(basis, basis_state(basis.N, basis.n, coords)):
             save_snapshot(psi, outdir / name)
-
-    worst = dense_deviation(basis, cm.matrix)
     report = {
         "N": basis.N,
         "n": basis.n,

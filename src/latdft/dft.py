@@ -72,6 +72,8 @@ def dft_matrix(s: SysNFBasis) -> CharacterMatrix:
     m = s.N ** (s.n - 1)
     if m * m > intlat.BOX_GUARD:
         raise SizeGuardError(f"dense |L_N|^2 = {m * m} entries exceed guard {intlat.BOX_GUARD}")
+    if s.n == 1:  # L_N = {0}: F = [[1]] at any N, with no N-entry twiddle table
+        return CharacterMatrix(s, np.ones((1, 1), dtype=complex))
     pts = ln_points(s)
     phases = (pts @ pts.T) % s.N
     # Normalized once per twiddle rather than per matrix entry: the same division of each entry.
@@ -159,6 +161,8 @@ def eigen_explore(s: SysNFBasis) -> dict[str, int]:
     m = s.N ** (s.n - 1)
     if m > intlat.BOX_GUARD:
         raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
+    if s.n == 1:  # L_N = {0}: F = [[1]] at any N
+        return {"+1": 1, "+i": 0, "-1": 0, "-i": 0}
     s.condition_inverse()
     norm_sq = ln_first(s).reshape((s.N,) * (s.n - 1))
     norm_sq *= norm_sq
@@ -211,13 +215,3 @@ def export_character_matrix_csv(cm: CharacterMatrix, csv_path, header_path) -> N
             fh,
             indent=2,
         )
-
-
-def export_lattice_function_csv(f: LatticeFunction, path) -> None:
-    """One line per point: x2,...,xn,re,im."""
-    pts = ln_points(f.basis)
-    with open(path, "w") as fh:
-        for row, z in zip(pts, f.values):
-            tail = ",".join(str(int(c)) for c in row[1:])
-            prefix = tail + "," if tail else ""
-            fh.write(f"{prefix}{float(z.real)!r},{float(z.imag)!r}\n")

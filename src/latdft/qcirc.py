@@ -20,7 +20,7 @@ import numpy as np
 
 from . import intlat
 from .errors import ModulusMismatchError, SizeGuardError, UncomputeError
-from .sysnf import SysNFBasis, ln_first, ln_points
+from .sysnf import SysNFBasis, ln_first
 
 SUPPORT_TOL = 1e-12
 # Output points per slab of the inverse-shear gather: about 128 KiB of int64 index.
@@ -55,7 +55,13 @@ class Statevector:
         return complex(self.amps[self.index_of(coords)])
 
 
+def _guard_statevector(N: int, n: int) -> None:
+    if N**n > intlat.BOX_GUARD:
+        raise SizeGuardError(f"statevector N^n = {N ** n} amplitudes exceed guard {intlat.BOX_GUARD}")
+
+
 def basis_state(N: int, n: int, coords) -> Statevector:
+    _guard_statevector(N, n)
     amps = np.zeros(N**n, dtype=complex)
     sv = Statevector(N, n, amps)
     amps[sv.index_of(coords)] = 1.0
@@ -166,20 +172,29 @@ def simulate_sysnf_qft(s: SysNFBasis, psi: Statevector) -> Statevector:
 def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
     """Largest amplitude gap between the circuit and a dense transform of L_N.
 
-    Every L_N basis state runs through :func:`simulate_sysnf_qft`; the output
-    is compared with the matching column of ``matrix`` (canonical order),
-    embedded in the full grid.
+    Each L_N basis state runs through :func:`lattice_qft_values` against its
+    column of ``matrix`` (canonical order).  Then :func:`simulate_sysnf_qft`
+    runs once on a seeded probe over all of Z_N^n, which must match
+    :func:`lattice_qft_values` on L_N and pass through unchanged elsewhere.
+    More than ``intlat.BOX_GUARD`` amplitudes raise :class:`SizeGuardError` first.
     """
-    pts = ln_points(s)
-    m = len(pts)
-    on_l = pts[:, 0] * m + np.arange(m)
+    _guard_statevector(s.N, s.n)
+    m = s.N ** (s.n - 1)
+    unit = np.zeros(m, dtype=complex)
     worst = 0.0
-    for j, x in enumerate(pts.tolist()):
-        out = simulate_sysnf_qft(s, basis_state(s.N, s.n, x))
-        expected = np.zeros(s.N**s.n, dtype=complex)
-        expected[on_l] = matrix[:, j]
-        worst = max(worst, float(np.abs(out.amps - expected).max()))
-    return worst
+    for j in range(m):
+        unit[j] = 1.0
+        worst = max(worst, float(np.abs(lattice_qft_values(s, unit) - matrix[:, j]).max()))
+        unit[j] = 0.0
+    # Standard normal, not normalized: an error in one amplitude shows at about its own size.
+    probe = np.random.default_rng(0).standard_normal(2 * s.N**s.n).view(complex)
+    out = simulate_sysnf_qft(s, Statevector(s.N, s.n, probe)).amps
+    # The probe becomes the expected output in place; L_N point i sits at
+    # full-grid index x_1 N^(n-1) + i.
+    on_l = ln_first(s) * m + np.arange(m)
+    probe[on_l] = lattice_qft_values(s, probe[on_l])
+    out -= probe
+    return max(worst, float(np.abs(out).max()))
 
 
 def unshear_slabs(s: SysNFBasis) -> Iterator[tuple[int, np.ndarray]]:

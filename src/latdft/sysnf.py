@@ -173,6 +173,8 @@ def ln_first(s: SysNFBasis) -> np.ndarray:
     N with N^(n-1) <= intlat.BOX_GUARD.
     """
     k = s.n - 1
+    if k == 0:  # n = 1: the one point 0, at any N (N >= 2^63 has no int64)
+        return np.zeros(1, dtype=np.int64)
     x1 = np.zeros((s.N,) * k, dtype=np.int64)
     for bj, axis in zip(s.b, np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
         x1 += bj * axis

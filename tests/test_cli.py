@@ -86,6 +86,12 @@ class TestDft:
         assert "|L_N|^2 = 25 entries exceed guard 24" in err and "Traceback" not in err
         assert not (files / "d").exists()
 
+    def test_one_point_lattice_past_int64(self, files, capsys):
+        (files / "one_d.txt").write_text(f"1 1\n{10**20}\n")
+        assert main(["dft", "--input", str(files / "one_d.txt"), "--out", str(files / "d")]) == 0
+        captured = capsys.readouterr()
+        assert "order = 1" in captured.out and "Traceback" not in captured.err
+
 
 class TestQftSim:
     def test_agreement_report_and_snapshots(self, files):
@@ -111,6 +117,19 @@ class TestQftSim:
         err = capsys.readouterr().err
         assert "|L_N|^2 = 25 entries exceed guard 24" in err and "Traceback" not in err
         assert not (files / "sim").exists()
+
+    @pytest.mark.parametrize("dump", [None, "0"])
+    @pytest.mark.parametrize("modulus, guard", [(10**20, 5 * 10**6), (7, 6)])
+    def test_statevector_guard_exit_one(self, files, capsys, monkeypatch, modulus, guard, dump):
+        # n = 1: the one-point dense transform passes its guard, the circuit's
+        # N-amplitude statevector does not, with or without snapshots.
+        (files / "one_d.txt").write_text(f"1 1\n{modulus}\n")
+        monkeypatch.setattr(intlat, "BOX_GUARD", guard)
+        argv = ["qft-sim", "--input", str(files / "one_d.txt"), "--out", str(files / "sim")]
+        assert main(argv + (["--dump-state", dump] if dump else [])) == 1
+        err = capsys.readouterr().err
+        assert f"error: statevector N^n = {modulus} amplitudes exceed guard {guard}" in err
+        assert "Traceback" not in err and not (files / "sim").exists()
 
     @pytest.mark.parametrize(
         "state",

@@ -14,7 +14,6 @@ from latdft.dft import (
     dft_matrix,
     eigen_explore,
     export_character_matrix_csv,
-    export_lattice_function_csv,
     full_grid_dft_restricted,
     smoothness_estimate,
 )
@@ -146,6 +145,20 @@ class TestDftMatrix:
         finally:
             tracemalloc.stop()
         assert dft_matrix(SysNFBasis(2039, (2,))).order == 2039
+
+    @pytest.mark.parametrize("big_n", [5, 4 * 10**6, 10**20])
+    def test_one_point_lattice(self, big_n):
+        # n = 1: L_N = {0} and F = [[1]] at any N, even past int64, with
+        # nothing N-sized allocated along the way.
+        s = SysNFBasis(big_n, ())
+        tracemalloc.start()
+        try:
+            assert ln_points(s).tolist() == [[0]]
+            assert dft_matrix(s).matrix.tolist() == [[1]]
+            assert eigen_explore(s) == {"+1": 1, "+i": 0, "-1": 0, "-i": 0}
+            assert tracemalloc.get_traced_memory()[1] < 10**5
+        finally:
+            tracemalloc.stop()
 
     def test_index_lookup(self):
         # Row and column i belong to point i of ln_points, which ln_index inverts.
@@ -334,13 +347,3 @@ class TestExports:
             vals = [float(t) for t in line.split(",")]
             rows.append([complex(re, im) for re, im in zip(vals[::2], vals[1::2])])
         assert np.abs(np.array(rows) - cm.matrix).max() == 0.0
-
-    def test_lattice_function_csv(self, tmp_path):
-        f = LatticeFunction(S5, np.arange(5, dtype=complex))
-        path = tmp_path / "f.csv"
-        export_lattice_function_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        first = lines[0].split(",")
-        assert len(first) == 3  # x2, re, im
-        assert float(first[1]) == 0.0

@@ -229,6 +229,55 @@ class TestSimulate:
             assert abs(psi.norm() - 1) <= 1e-10
 
 
+class TestDenseDeviation:
+    def test_runs_circuit_once(self, monkeypatch):
+        calls = []
+
+        def counted(s, psi):
+            calls.append(psi.N**psi.n)
+            return simulate_sysnf_qft(s, psi)
+
+        monkeypatch.setattr(qcirc, "simulate_sysnf_qft", counted)
+        assert dense_deviation(S75, dft_matrix(S75).matrix) <= 1e-10
+        assert calls == [7**3]
+
+    def test_dropped_off_lattice_amplitudes_caught(self, monkeypatch):
+        def lossy(s, psi):
+            on_l = Statevector(s.N, s.n, np.where(lattice_membership_mask(s), psi.amps, 0.0))
+            return simulate_sysnf_qft(s, on_l)
+
+        monkeypatch.setattr(qcirc, "simulate_sysnf_qft", lossy)
+        assert dense_deviation(S5, dft_matrix(S5).matrix) > 0.1
+
+    def test_moved_entry_caught(self):
+        f = dft_matrix(S75).matrix.copy()
+        f[3, 17] += 1e-9
+        assert 0.9e-9 < dense_deviation(S75, f) < 1.1e-9
+
+    def test_statevector_guard(self, monkeypatch):
+        # N^n = 25 amplitudes fit a guard of 25 and not one of 24.
+        f = dft_matrix(S5).matrix
+        monkeypatch.setattr(intlat, "BOX_GUARD", 25)
+        assert basis_state(5, 2, (3, 3)).amplitude((3, 3)) == 1.0
+        assert dense_deviation(S5, f) <= 1e-10
+        monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+        for call in (lambda: basis_state(5, 2, (3, 3)), lambda: dense_deviation(S5, f)):
+            with pytest.raises(SizeGuardError, match=r"N\^n = 25 amplitudes exceed guard 24"):
+                call()
+
+    @pytest.mark.parametrize("s", [SysNFBasis(1021, (3,)), SysNFBasis(10**20, ())])
+    def test_guard_before_allocation(self, monkeypatch, s):
+        # N^n just above 10^6 and past int64: refused before the first
+        # N^n-sized array, even one byte an amplitude.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 10**6)
+        for call in (
+            lambda: basis_state(s.N, s.n, (0,) * s.n),
+            lambda: dense_deviation(s, np.ones((1, 1), dtype=complex)),
+        ):
+            peak = _peak_bytes(lambda: pytest.raises(SizeGuardError, call))
+            assert peak < 10**6
+
+
 class TestCompressedPath:
     @pytest.mark.parametrize("s", [S5, S75, SysNFBasis(9, (2,))])
     def test_matches_dense_matrix(self, s):
