@@ -24,6 +24,14 @@ def _config_hash(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _config_int(config: dict, key: str) -> int:
+    """config[key] if it is a JSON integer; ValueError for anything else, 1.5 and "7" included."""
+    value = config[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _read_matrix(path: str):
     from .intlat import parse_matrix_text
 
@@ -185,8 +193,8 @@ def cmd_sample(args) -> int:
         m = _read_matrix(config["basis"])
         spec_cfg = config["spec"]
         epsilon = Fraction(str(config["epsilon"]))
-        shots = int(config["shots"])
-        seed = int(config["seed"])
+        shots = _config_int(config, "shots")
+        seed = _config_int(config, "seed")
         if spec_cfg.get("kind") != "gaussian":
             raise ValueError(f"unsupported spec kind {spec_cfg.get('kind')!r}")
         s_target = float(spec_cfg["s"])

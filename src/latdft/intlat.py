@@ -10,9 +10,13 @@ The scalar kernels are fraction-free.  An ``ExactMatrix`` keeps its integer
 form D A and one Bareiss elimination pass (det, adj) of it, both computed on
 first use; ``inverse``, ``solve``, ``determinant``, ``membership``,
 ``coefficients_in_basis``, ``mul_vec`` and ``box_points`` read them in
-integer arithmetic.  There is one Gram-Schmidt, held as integers (Cohen's
-integral data d and lam): ``lll_reduce`` updates it in place, ``nearest_plane``
-and ``nearest_plane_rows`` run Babai's rounding on it, and the
+integer arithmetic.  Products and solves add no ``Fraction`` terms: a
+product multiplies the two integer forms and divides once by D_a D_b, and
+``mul_vec`` and ``solve`` take integer dot products of D A or of the
+adjugate with the vector's integer form from ``vec_integer_form``.  There is
+one Gram-Schmidt, held as integers (Cohen's integral data d and lam):
+``lll_reduce`` updates it in place, ``nearest_plane`` and
+``nearest_plane_rows`` run Babai's rounding on it, and the
 ``is_size_reduced`` and ``satisfies_lovasz`` oracles read it.
 
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
@@ -30,6 +34,7 @@ stay as their test oracles.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -149,15 +154,19 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self._ncols != other._nrows:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other._rows))
+        # (A_a / D_a) @ (A_b / D_b) = (A_a @ A_b) / (D_a D_b), one division per entry.
+        d_a, rows = self.integer_form()
+        d_b, other_rows = other.integer_form()
+        den = d_a * d_b
+        cols = list(zip(*other_rows))
         return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._rows]
+            [[Fraction(sum(map(operator.mul, row, col)), den) for col in cols] for row in rows]
         )
 
     def mul_vec(self, v: Sequence) -> Vec:
         y, den = self.mul_vec_scaled(v)
         if den == 1:
-            return tuple(Fraction(x) for x in y)
+            return tuple(map(Fraction, y))
         return tuple(Fraction(x, den) for x in y)
 
     def mul_vec_scaled(self, v: Sequence) -> tuple[list[int], int]:
@@ -166,7 +175,7 @@ class ExactMatrix:
             raise ValueError("dimension mismatch")
         e, w = vec_integer_form(v)
         den, rows = self.integer_form()
-        return [sum(a * b for a, b in zip(row, w)) for row in rows], den * e
+        return [sum(map(operator.mul, row, w)) for row in rows], den * e
 
     def scale(self, c) -> "ExactMatrix":
         c = Fraction(c)
@@ -239,7 +248,7 @@ class ExactMatrix:
         # self^-1 = D adj(M) / det(M), and v = w / e.
         e, w = vec_integer_form(v)
         den = self.integer_form()[0]
-        y = [den * sum(a * b for a, b in zip(row, w)) for row in adj]
+        y = [den * sum(map(operator.mul, row, w)) for row in adj]
         if det < 0:
             return [-x for x in y], -det * e
         return y, det * e
@@ -257,13 +266,20 @@ class ExactMatrix:
 
 
 def vec_integer_form(v: Sequence) -> tuple[int, list[int]]:
-    """(e, w): the least positive integer e and the integer vector w with v = w / e."""
-    f = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    dens = [x.denominator for x in f]
-    e = math.lcm(*dens)
+    """(e, w): the least positive integer e and the vector w of Python ints with v = w / e."""
+    if all(type(x) is int for x in v):
+        return 1, list(v)
+    ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in v]
+    e = math.lcm(*[q for _, q in ratios])
     if e == 1:
-        return 1, [x.numerator for x in f]
-    return e, [x.numerator * (e // q) for x, q in zip(f, dens)]
+        return 1, [p for p, _ in ratios]
+    return e, [p * (e // q) for p, q in ratios]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) in Python ints with x = p / q; Fraction keeps a numpy integer's type, int() does not."""
+    p, q = Fraction(x).as_integer_ratio()
+    return int(p), q
 
 
 # -- text format -------------------------------------------------------------

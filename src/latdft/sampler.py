@@ -37,7 +37,7 @@ from .intlat import (
     voronoi_relevant,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ReductionCertificate, ln_first, ln_index, phi3, reduce_to_sysnf
+from .sysnf import ReductionCertificate, ln_index, phi3, reduce_to_sysnf
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
@@ -205,6 +205,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         raise ParameterError("shots must be non-negative")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
+    if shots > intlat.BOX_GUARD:
+        raise SizeGuardError(f"{shots} shots exceed guard {intlat.BOX_GUARD}")
     if not 0 <= spec.grid_radius < math.inf:
         raise ParameterError("grid radius must be finite and non-negative")
     n = b.ncols
@@ -309,8 +311,9 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # heaviest point always survives.
     keep_idx = np.flatnonzero(probs >= PRUNE_MASS * total_prob / len(probs))
     kept = probs[keep_idx] / probs[keep_idx].sum()
-    # The kept rows of ln_points(s), built without the whole table.
-    w = np.column_stack([ln_first(s)[keep_idx], *np.unravel_index(keep_idx, (big_n,) * (n - 1))])
+    # The kept rows of ln_points(s): x_1 = b . tail mod N for the kept tails only.
+    tails = np.column_stack(np.unravel_index(keep_idx, (big_n,) * (n - 1)))
+    w = np.column_stack([tails @ np.array(s.b, dtype=np.int64) % big_n, tails])
     # Centred representatives in (-N/2, N/2] go through sigma^-1 and must land in L(B).
     points = integral_rows(cert.sigma_inverse, np.where(w > big_n // 2, w - big_n, w))
     try:

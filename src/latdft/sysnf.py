@@ -251,15 +251,19 @@ class ReductionCertificate:
     def relative_error_holds(self, v: Sequence) -> bool:
         """Exact check of ||sigma(v)/T - v||^2 <= epsilon^2 ||v||^2.
 
-        With v = u / e and epsilon = p / q, in integers:
-        q^2 ||e sigma(v) - T u||^2 <= p^2 T^2 ||u||^2.
+        With v = u / e, epsilon = p / q and sigma(u) = y / d, so that
+        e sigma(v) = y / d, in integers:
+        q^2 ||y - d T u||^2 <= p^2 (d T)^2 ||u||^2.
+        Raises ValueError, as ``apply_sigma`` does, unless sigma(v) is integral.
         """
-        w = self.apply_sigma(v)
         e, u = vec_integer_form(v)
-        t = self.T
+        y, d = self.sigma.mul_vec_scaled(u)
+        if any(x % (d * e) for x in y):
+            raise ValueError(f"sigma({tuple(v)}) is not an integer vector")
+        dt = d * self.T
         p, q = self.epsilon.numerator, self.epsilon.denominator
-        err = sum((e * a - t * b) ** 2 for a, b in zip(w, u))
-        return q * q * err <= p * p * t * t * sum(x * x for x in u)
+        err = sum((a - dt * b) ** 2 for a, b in zip(y, u))
+        return q * q * err <= p * p * dt * dt * sum(x * x for x in u)
 
     def to_json(self) -> str:
         payload = {
@@ -284,6 +288,8 @@ class ReductionCertificate:
 def _integral_image(m: ExactMatrix, v: Sequence, name: str) -> tuple[int, ...]:
     """m @ v as integers, in integer arithmetic; ValueError if it is not integral."""
     y, den = m.mul_vec_scaled(v)
+    if den == 1:
+        return tuple(y)
     if any(x % den for x in y):
         raise ValueError(f"{name}({tuple(v)}) is not an integer vector")
     return tuple(x // den for x in y)

@@ -262,6 +262,11 @@ class TestSample:
             pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": math.nan}}, id="grid-radius-nan"),
             pytest.param({"spec": {"kind": "uniform", "s": 16.0}}, id="kind-unsupported"),
             pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "seed": -1}, id="seed-negative"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "seed": 1.5}, id="seed-fraction"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "seed": "1"}, id="seed-string"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "shots": 2.5}, id="shots-fraction"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "shots": True}, id="shots-bool"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0}, "shots": 10**15}, id="shots-huge"),
             pytest.param([1, 2], id="config-list"),
             pytest.param(7, id="config-number"),
             pytest.param("config", id="config-string"),

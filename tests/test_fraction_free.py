@@ -1,14 +1,15 @@
 """The fraction-free kernels against the Fraction algorithms they replaced.
 
 ``intlat`` inverts, solves and takes determinants through one Bareiss pass on
-the integer form of a matrix, runs LLL, Babai's nearest plane (scalar and
-batched) and the size-reduction and Lovasz oracles on integral Gram-Schmidt
-data, and ``ReductionCertificate`` checks sigma and its error bound in
-integers.  The references below are the Fraction Gauss-Jordan elimination,
-the rational Gram-Schmidt, the LLL that recomputes it after every swap, the
-nearest plane that rounds Fraction projections on its vectors and the
-oracles that read its mu and squared norms; every property asserts exact
-equality, types included, against them.  Derandomized.
+the integer form of a matrix, multiplies matrices and vectors on their
+integer forms, runs LLL, Babai's nearest plane (scalar and batched) and the
+size-reduction and Lovasz oracles on integral Gram-Schmidt data, and
+``ReductionCertificate`` checks sigma and its error bound in integers.  The
+references below are the Fraction matrix product, the Fraction Gauss-Jordan
+elimination, the rational Gram-Schmidt, the LLL that recomputes it after
+every swap, the nearest plane that rounds Fraction projections on its
+vectors and the oracles that read its mu and squared norms; every property
+asserts exact equality, types included, against them.  Derandomized.
 """
 
 import math
@@ -40,6 +41,7 @@ from latdft.intlat import (
     norm_sq,
     satisfies_lovasz,
     sqrt_upper_bound,
+    vec_integer_form,
     vec_sub,
 )
 from latdft.sysnf import reduce_to_sysnf
@@ -104,6 +106,14 @@ def ref_satisfies_lovasz(b: ExactMatrix, delta=Fraction(3, 4)) -> bool:
         if lhs < rhs:
             return False
     return True
+
+
+def ref_matmul(a: ExactMatrix, b: ExactMatrix) -> tuple:
+    """Rows of a @ b, each entry a Fraction sum of Fraction products."""
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.rows()))
+        for row in a.rows()
+    )
 
 
 def ref_mul_vec(m: ExactMatrix, v) -> tuple:
@@ -329,6 +339,73 @@ def test_solve_mul_vec_membership_and_coefficients_match(m, data):
         else:
             with pytest.raises(MembershipError):
                 coefficients_in_basis(m, v)
+
+
+# -- products and vector integer forms ---------------------------------------------
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+# Integer entries only, rationals only (unit denominators included), or a mix.
+entry_kinds = st.sampled_from([small_ints, rationals, st.one_of(small_ints, rationals)])
+
+
+def rect(nrows: int, ncols: int, entries) -> st.SearchStrategy:
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows).map(
+        ExactMatrix
+    )
+
+
+@PROPS
+@given(shapes, entry_kinds, entry_kinds, st.data())
+def test_matmul_matches_fraction_product(shape, kind_a, kind_b, data):
+    r, k, c = shape
+    a = data.draw(rect(r, k, kind_a))
+    b = data.draw(rect(k, c, kind_b))
+    got = a @ b
+    assert (got.nrows, got.ncols) == (r, c)
+    assert same(got.rows(), ref_matmul(a, b))
+    assert got == ExactMatrix(ref_matmul(a, b))
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ExactMatrix([[1, 2, 3]]) @ ExactMatrix([[1, 2]])
+
+
+def plain(v) -> list:
+    """v with numpy integers and bools as Python ints, the way the reference reads them."""
+    return [int(x) if isinstance(x, (bool, np.integer)) else x for x in v]
+
+
+def ref_vec_integer_form(v) -> tuple:
+    f = [Fraction(x) for x in plain(v)]
+    e = math.lcm(*(x.denominator for x in f))
+    return e, tuple(int(x * e) for x in f)
+
+
+def vectors_of(n: int) -> st.SearchStrategy:
+    """Length-n vectors of Python ints, Fractions, numpy int64 past 2^31, bools or a mix of all."""
+    big = st.integers(-(2**62), 2**62)
+    fracs = st.builds(Fraction, st.integers(-80, 80), st.integers(1, 8))
+    return st.one_of(
+        st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n),
+        st.lists(fracs, min_size=n, max_size=n),
+        st.lists(big, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.one_of(small_ints, fracs, big.map(np.int64), st.booleans()), min_size=n, max_size=n),
+    )
+
+
+@PROPS
+@given(any_matrices, st.data())
+def test_vec_integer_form_mul_vec_and_solve_on_every_input_type(m, data):
+    n = m.ncols
+    for _ in range(4):
+        v = data.draw(vectors_of(n))
+        e, w = vec_integer_form(v)
+        assert same((e, tuple(w)), ref_vec_integer_form(v))
+        assert same(m.mul_vec(v), ref_mul_vec(m, plain(v)))
+        if ref_determinant(m) != 0:
+            assert same(m.solve(v), ref_mul_vec(ref_inverse(m), plain(v)))
 
 
 def test_solve_rejects_wrong_length():

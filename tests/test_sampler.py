@@ -241,6 +241,20 @@ class TestSample:
         with pytest.raises(SizeGuardError, match="box of 4225"):
             sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=0, seed=0)
 
+    def test_shots_guard(self, monkeypatch):
+        # As many shots as the guard are drawn; one more is refused before any work.
+        monkeypatch.setattr(intlat, "BOX_GUARD", 1100)
+        spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
+        res = sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=1100, seed=0)
+        assert len(res.samples) == 1100
+
+        def no_reduction(*args):
+            raise AssertionError("reduce_to_sysnf was called")
+
+        monkeypatch.setattr(sampler, "reduce_to_sysnf", no_reduction)
+        with pytest.raises(SizeGuardError, match="1101 shots exceed guard 1100"):
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=1101, seed=0)
+
     def test_ln_guard(self, monkeypatch):
         # I_2 at epsilon 1/4 reduces to N = 1026, so |L_N| = 1026.
         monkeypatch.setattr(intlat, "BOX_GUARD", 1000)
