@@ -6,18 +6,26 @@ or over int64 arrays under a bound checked before they are built; nothing
 in this module rounds.  Operations that need floating point (statevectors,
 DFT matrices) live elsewhere and convert at the boundary.
 
-The scalar kernels are fraction-free.  An ``ExactMatrix`` keeps its integer
-form D A and one Bareiss elimination pass (det, adj) of it, both computed on
-first use; ``inverse``, ``solve``, ``determinant``, ``membership``,
-``coefficients_in_basis``, ``mul_vec`` and ``box_points`` read them in
-integer arithmetic.  Products and solves add no ``Fraction`` terms: a
-product multiplies the two integer forms and divides once by D_a D_b, and
+An ``ExactMatrix`` is held as its canonical integer form (D, D A): D is the
+least common denominator of the entries, so gcd(D, entries) = 1 and equal
+matrices have equal forms.  All-``int`` input is stored as (1, rows), and
+numpy integers and bools are read as Python ints.  ``@``, ``inverse``,
+``transpose`` and ``scale`` build their result from integer forms and
+reduce it with one gcd; ``==``, ``hash`` and ``is_integer`` read the form,
+and the ``Fraction`` entries (``rows``, ``row``, ``column``, ``m[i, j]``)
+are built on first use.  The scalar kernels are fraction-free.  A matrix
+keeps one Bareiss elimination pass (det, adj) of D A, computed on first
+use; ``inverse``, ``solve``, ``determinant``, ``membership``,
+``coefficients_in_basis`` and ``box_points`` read it in integer arithmetic.
 ``mul_vec`` and ``solve`` take integer dot products of D A or of the
-adjugate with the vector's integer form from ``vec_integer_form``.  There is
-one Gram-Schmidt, held as integers (Cohen's integral data d and lam):
-``lll_reduce`` updates it in place, ``nearest_plane`` and
-``nearest_plane_rows`` run Babai's rounding on it, and the
-``is_size_reduced`` and ``satisfies_lovasz`` oracles read it.
+adjugate with the vector's integer form from ``vec_integer_form``.
+``hnf``, ``lll_reduce`` and ``nearest_plane_rows`` take their columns from
+the integer form, and the enumeration bounds of ``box_points``,
+``cvp_exact``, ``lambda1_sq`` and ``voronoi_relevant`` are integer sums and
+integer floor and ceil.  There is one Gram-Schmidt, held as integers
+(Cohen's integral data d and lam): ``lll_reduce`` updates it in place,
+``nearest_plane`` and ``nearest_plane_rows`` run Babai's rounding on it,
+and the ``is_size_reduced`` and ``satisfies_lovasz`` oracles read it.
 
 The int64 kernels work on many rows at once: ``lex_box`` and ``box_points``
 build coefficient boxes, ``scaled_offsets`` gives exact scaled offsets,
@@ -69,31 +77,51 @@ def sqrt_upper_bound(r: Fraction) -> Fraction:
     if r < 0:
         raise ValueError("negative radicand")
     p, q = r.numerator, r.denominator
-    # sqrt(p/q) = sqrt(p*q*K^2) / (q*K) <= ceil(sqrt(p*q*K^2)) / (q*K)
+    return Fraction(_sqrt_numerator(p, q), q * _SQRT_SCALE)
+
+
+def _sqrt_numerator(p: int, q: int) -> int:
+    """ceil(sqrt(p q K^2)) for p / q in lowest terms: sqrt(p / q) <= this / (q K)."""
     m = p * q * _SQRT_SCALE**2
     s = math.isqrt(m)
-    if s * s < m:
-        s += 1
-    return Fraction(s, q * _SQRT_SCALE)
+    return s + (s * s < m)
 
 
 class ExactMatrix:
-    """Immutable matrix with arbitrary-precision rational entries."""
+    """Immutable matrix with arbitrary-precision rational entries.
 
-    __slots__ = ("_rows", "_nrows", "_ncols", "_ints", "_adj")
+    Held as its canonical integer form (D, D * self): D is the least positive
+    integer that clears every denominator, so gcd(D, entries) = 1 and equal
+    matrices have equal forms.  The ``Fraction`` rows are built on first use.
+    """
+
+    __slots__ = ("_den", "_ints", "_rows", "_adj")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = [tuple(row) for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self._rows = data
-        self._nrows = len(data)
-        self._ncols = width
-        self._ints = None  # (D, rows of D * self), built on first use
-        self._adj = None  # (det, adj) of D * self, built on first use
+        den, flat = vec_integer_form([x for row in data for x in row])
+        self._den = den
+        self._ints = tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
+        self._rows = None  # Fraction rows, built on first use
+        self._adj = None  # (det, adj) of the integer form, built on first use
+
+    @classmethod
+    def _from_integer_form(cls, den: int, rows: Iterable[Iterable[int]]) -> "ExactMatrix":
+        """The matrix rows / den for integer rows and a nonzero integer den, reduced to least D."""
+        rows = [tuple(row) for row in rows]
+        g = math.gcd(den, *(x for row in rows for x in row))
+        if den < 0:
+            g = -g
+        m = cls.__new__(cls)
+        m._den = den // g
+        m._ints = tuple(tuple(x // g for x in row) for row in rows) if g != 1 else tuple(rows)
+        m._rows = m._adj = None
+        return m
 
     # -- construction -----------------------------------------------------
 
@@ -103,64 +131,64 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "ExactMatrix":
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(zip(*cols))
 
     # -- basic access ------------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return self._nrows
+        return len(self._ints)
 
     @property
     def ncols(self) -> int:
-        return self._ncols
+        return len(self._ints[0])
 
     @property
     def is_square(self) -> bool:
-        return self._nrows == self._ncols
+        return len(self._ints) == len(self._ints[0])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._rows[i][j]
+        return self.rows()[i][j]
 
     def row(self, i: int) -> Vec:
-        return self._rows[i]
+        return self.rows()[i]
 
     def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self.rows())
 
     def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self._ncols)]
+        return [self.column(j) for j in range(self.ncols)]
 
     def rows(self) -> tuple[Vec, ...]:
+        if self._rows is None:
+            den = self._den
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
         return self._rows
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self._rows for x in row)
+        return self._den == 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self._rows == other._rows
+        return isinstance(other, ExactMatrix) and self.integer_form() == other.integer_form()
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self.integer_form())
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows())
         return f"ExactMatrix[{body}]"
 
     # -- arithmetic ----------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self._ncols != other._nrows:
+        if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        # (A_a / D_a) @ (A_b / D_b) = (A_a @ A_b) / (D_a D_b), one division per entry.
-        d_a, rows = self.integer_form()
-        d_b, other_rows = other.integer_form()
-        den = d_a * d_b
-        cols = list(zip(*other_rows))
-        return ExactMatrix(
-            [[Fraction(sum(map(operator.mul, row, col)), den) for col in cols] for row in rows]
+        # (A_a / D_a) @ (A_b / D_b) = (A_a @ A_b) / (D_a D_b), reduced once.
+        cols = list(zip(*other._ints))
+        return ExactMatrix._from_integer_form(
+            self._den * other._den,
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self._ints],
         )
 
     def mul_vec(self, v: Sequence) -> Vec:
@@ -171,34 +199,28 @@ class ExactMatrix:
 
     def mul_vec_scaled(self, v: Sequence) -> tuple[list[int], int]:
         """Integers y and a positive integer d with self @ v = y / d, in integer arithmetic."""
-        if len(v) != self._ncols:
+        if len(v) != len(self._ints[0]):
             raise ValueError("dimension mismatch")
         e, w = vec_integer_form(v)
-        den, rows = self.integer_form()
-        return [sum(map(operator.mul, row, w)) for row in rows], den * e
+        return [sum(map(operator.mul, row, w)) for row in self._ints], self._den * e
 
     def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
-        return ExactMatrix([[c * x for x in row] for row in self._rows])
+        p, q = Fraction(c).as_integer_ratio()
+        rows = [[p * x for x in row] for row in self._ints]
+        return ExactMatrix._from_integer_form(q * self._den, rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._rows)))
+        return ExactMatrix._from_integer_form(self._den, zip(*self._ints))
 
     # -- the fraction-free kernels -----------------------------------------
     #
-    # The matrix is immutable, so its integer form and the one elimination
-    # pass below are computed on first use and kept: inverse, solve,
-    # determinant, membership and coefficients_in_basis all read them.
+    # The matrix is immutable, so the one elimination pass below is computed
+    # on first use and kept: inverse, solve, determinant, membership and
+    # coefficients_in_basis all read it.
 
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, rows of D * self) with D the least common denominator of the entries."""
-        if self._ints is None:
-            den = math.lcm(*(x.denominator for row in self._rows for x in row))
-            rows = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in self._rows
-            )
-            self._ints = (den, rows)
-        return self._ints
+        return self._den, self._ints
 
     def _det_adj(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
         """(det M, adj M) of the square integer form M = D * self; adj is None when det is 0.
@@ -209,9 +231,8 @@ class ExactMatrix:
         It ends at [p I | X] with M X = p I and p = +-det M.
         """
         if self._adj is None:
-            n = self._nrows
-            rows = self.integer_form()[1]
-            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+            n = self.nrows
+            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._ints)]
             prev, sign = 1, 1
             for k in range(n):
                 piv = next((r for r in range(k, n) if aug[r][k]), None)
@@ -243,11 +264,11 @@ class ExactMatrix:
     def _solve_scaled(self, v: Sequence) -> tuple[list[int], int]:
         """Integers y and a positive integer d with self @ (y / d) = v."""
         det, adj = self._adjugate()
-        if len(v) != self._ncols:
+        if len(v) != len(adj):
             raise ValueError("dimension mismatch")
         # self^-1 = D adj(M) / det(M), and v = w / e.
         e, w = vec_integer_form(v)
-        den = self.integer_form()[0]
+        den = self._den
         y = [den * sum(map(operator.mul, row, w)) for row in adj]
         if det < 0:
             return [-x for x in y], -det * e
@@ -256,8 +277,8 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         """Exact inverse, D adj(M) / det(M) from the kept elimination pass."""
         det, adj = self._adjugate()
-        den = self.integer_form()[0]
-        return ExactMatrix([[Fraction(den * x, det) for x in row] for row in adj])
+        den = self._den
+        return ExactMatrix._from_integer_form(det, [[den * x for x in row] for row in adj])
 
     def solve(self, v: Sequence) -> Vec:
         """Exact solution x of self @ x = v."""
@@ -348,7 +369,7 @@ def hnf(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """
     _require_square_integer(m, "hnf")
     n = m.nrows
-    cols = [[int(x) for x in m.column(j)] for j in range(n)]
+    cols = [list(col) for col in zip(*m.integer_form()[1])]
     u = [[int(i == j) for i in range(n)] for j in range(n)]  # u[j] = column j of U
 
     def combine(ci, cj, a, b, c, d):
@@ -454,7 +475,7 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
     if not Fraction(1, 4) < delta <= 1:
         raise ValueError("delta must lie in (1/4, 1]")
     n = b.ncols
-    cols = [list(map(int, b.column(j))) for j in range(n)]
+    cols = [list(col) for col in zip(*b.integer_form()[1])]
     d, lam = _integral_gram(cols)
     p, q = delta.numerator, delta.denominator
     k = 1
@@ -593,8 +614,14 @@ def lex_box(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
     count = math.prod(max(0, hi - lo + 1) for lo, hi in bounds)
     if count > BOX_GUARD or max(max(-lo, hi) for lo, hi in bounds) >= _INT64_LIMIT // 2:
         raise SizeGuardError(f"box of {count} integer vectors exceeds guard {BOX_GUARD} or int64")
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(count, len(bounds))
+    n = len(bounds)
+    out = np.empty((count, n), dtype=np.int64)
+    grid = out.reshape([max(0, hi - lo + 1) for lo, hi in bounds] + [n])
+    for i, (lo, hi) in enumerate(bounds):
+        axis = [1] * n
+        axis[i] = -1
+        grid[..., i] = np.arange(lo, hi + 1, dtype=np.int64).reshape(axis)
+    return out
 
 
 def box_points(b: ExactMatrix, center: Sequence, radius) -> np.ndarray:
@@ -605,15 +632,19 @@ def box_points(b: ExactMatrix, center: Sequence, radius) -> np.ndarray:
     int64 in lexicographic order, the tie-break order of the CVP oracles.
     Raises SizeGuardError before allocating a box larger than BOX_GUARD.
     """
-    zc = b.solve(center)
+    zc, d = b._solve_scaled(center)
     det, adj = b._adjugate()
     den = b.integer_form()[0]
-    radius = Fraction(radius)
+    rp, rq = Fraction(radius).as_integer_ratio()
     bounds = []
-    for i, row in enumerate(adj):
-        # row_i(B^-1) = D row_i(adj M) / det M
-        slack = sqrt_upper_bound(Fraction(den * den * sum(x * x for x in row), det * det)) * radius
-        bounds.append((math.floor(zc[i] - slack), math.ceil(zc[i] + slack)))
+    for y, row in zip(zc, adj):
+        # ||row_i(B^-1)||^2 = D^2 ||row_i(adj M)||^2 / det(M)^2 = p / q in lowest
+        # terms; the slack is sqrt_upper_bound(p / q) r = u / v in integers.
+        p, q = den * den * sum(x * x for x in row), det * det
+        g = math.gcd(p, q)
+        u, v = _sqrt_numerator(p // g, q // g) * rp, q // g * _SQRT_SCALE * rq
+        # floor and ceil of (B^-1 c)_i -+ slack = (y v -+ d u) / (d v)
+        bounds.append(((y * v - d * u) // (d * v), -((-y * v - d * u) // (d * v))))
     return lex_box(bounds)
 
 
@@ -655,7 +686,7 @@ def nearest_plane_rows(b: ExactMatrix, targets: np.ndarray) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim != 2 or targets.shape[1] != b.ncols:
         raise ValueError(f"targets must be rows of length {b.ncols}")
-    cols = [[int(x) for x in b.column(j)] for j in range(b.ncols)]
+    cols = list(zip(*b.integer_form()[1]))
     d, lam = _integral_gram(cols)
     # Coordinate k of a_j is d[j+1] <e_k, b*_j> / ||b*_j||^2, the projection of e_k.
     coords = [[0] * b.ncols for _ in range(b.nrows)]
@@ -719,7 +750,8 @@ def voronoi_relevant(b: ExactMatrix) -> np.ndarray:
         raise ValueError("voronoi_relevant requires an integer basis")
     n = b.ncols
     origin = (0,) * n
-    z = box_points(b, origin, sum(sqrt_upper_bound(norm_sq(col)) for col in b.columns()))
+    cols = zip(*b.integer_form()[1])
+    z = box_points(b, origin, sum(sqrt_upper_bound(Fraction(sum(x * x for x in col))) for col in cols))
     pts, _ = scaled_offsets(b, z, origin)
     d = (pts * pts).sum(axis=1)
     coset = (z % 2) @ (1 << np.arange(n, dtype=np.int64))
@@ -777,8 +809,10 @@ def cvp_exact(b: ExactMatrix, u: Sequence) -> CVPResult:
     smallest coefficient vector, as in :func:`brute_force_cvp`.
     """
     v0 = nearest_plane(b, u)
-    r_ub = sqrt_upper_bound(norm_sq(vec_sub(as_fraction_vec(u), v0)))
-    return _closest(b, u, box_points(b, u, r_ub))
+    # ||u - v0||^2 with u = w / e and v0 = y / f is sum (f w - e y)^2 / (e f)^2.
+    (e, w), (f, y) = vec_integer_form(u), vec_integer_form(v0)
+    r_sq = Fraction(sum((f * a - e * c) ** 2 for a, c in zip(w, y)), (e * f) ** 2)
+    return _closest(b, u, box_points(b, u, sqrt_upper_bound(r_sq)))
 
 
 def lambda1_sq(b: ExactMatrix) -> Fraction:
@@ -792,7 +826,8 @@ def lambda1_sq(b: ExactMatrix) -> Fraction:
     den, rows = b.integer_form()
     red = lll_reduce(ExactMatrix(rows))
     origin = (0,) * red.ncols
-    z = box_points(red, origin, sqrt_upper_bound(norm_sq(red.column(0))))
+    b1 = [row[0] for row in red.integer_form()[1]]
+    z = box_points(red, origin, sqrt_upper_bound(Fraction(sum(x * x for x in b1))))
     pts, _ = scaled_offsets(red, z, origin)
     d = (pts * pts).sum(axis=1)
     return Fraction(int(d[d > 0].min()), den * den)

@@ -326,7 +326,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     rng = np.random.default_rng(seed)
     if shots and len(dist.points):
         draws = rng.choice(len(dist.points), size=shots, p=dist.probs / dist.probs.sum())
-        samples = [dist.points[int(i)] for i in draws]
+        samples = list(map(dist.points.__getitem__, draws.tolist()))
     else:
         samples = []
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +38,7 @@ from .errors import (
     SizeGuardError,
     StructureError,
 )
-from .intlat import _INT64_LIMIT, ExactMatrix, hnf, norm_sq, sqrt_upper_bound, vec_integer_form
+from .intlat import _INT64_LIMIT, ExactMatrix, hnf, sqrt_upper_bound, vec_integer_form
 
 DELTA_SEARCH_CAP = 2**20
 SCALE_CAP = 2**512
@@ -108,17 +109,16 @@ def validate(m: ExactMatrix) -> SysNFBasis:
         raise StructureError("SysNF matrix must be square")
     if not m.is_integer():
         raise StructureError("SysNF matrix must have integer entries")
-    n = m.nrows
-    if m[0, 0] < 1:
+    rows = m.integer_form()[1]
+    if rows[0][0] < 1:
         raise StructureError("top-left modulus entry must be positive")
-    for i in range(1, n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            if m[i, j] != want:
+    for i in range(1, m.nrows):
+        for j, x in enumerate(rows[i]):
+            if x != int(i == j):
                 raise StructureError(
-                    f"rows below the first must be the identity; entry ({i},{j}) is {m[i, j]}"
+                    f"rows below the first must be the identity; entry ({i},{j}) is {x}"
                 )
-    basis = SysNFBasis(int(m[0, 0]), tuple(int(m[0, j]) for j in range(1, n)))
+    basis = SysNFBasis(rows[0][0], rows[0][1:])
     if not basis.is_valid:
         raise ConditionError(
             f"gcd(sum(b^2)+1, N) = gcd({basis.condition_sum}, {basis.N}) = "
@@ -295,15 +295,6 @@ def _integral_image(m: ExactMatrix, v: Sequence, name: str) -> tuple[int, ...]:
     return tuple(x // den for x in y)
 
 
-def _rotation_to_front(n: int) -> ExactMatrix:
-    """Permutation matrix R with (M @ R) having M's last column first."""
-    cols = []
-    for j in range(n):
-        src = n - 1 if j == 0 else j - 1
-        cols.append([int(i == src) for i in range(n)])
-    return ExactMatrix.from_columns(cols)
-
-
 def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     """Reduce a full-rank integer basis to a nearby SysNF lattice.
 
@@ -329,9 +320,7 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
 
     n = b.nrows
     h, _ = hnf(b)  # raises RankError on singular input
-    det_abs = 1
-    for i in range(n):
-        det_abs *= int(h[i, i])
+    det_abs = math.prod(row[i] for i, row in enumerate(h.integer_form()[1]))
 
     t = max(1, math.ceil(Fraction(n) * det_abs / epsilon))
     while True:
@@ -348,10 +337,11 @@ def _reduce_with_scale(
 ) -> ReductionCertificate | None:
     """One pass of the pipeline at fixed scale t; None if the bound fails."""
     n = b.nrows
+    h_rows = h.integer_form()[1]
 
     # Columns of the scaled working matrix t*B2: t*H (upper triangular) plus
     # 1 on the sub-diagonal.
-    cols = [[int(h[i, j]) * t + int(i == j + 1) for i in range(n)] for j in range(n)]
+    cols = [[x * t + (i == j + 1) for i, x in enumerate(col)] for j, col in enumerate(zip(*h_rows))]
     p1 = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P1
 
     # Clear row i (i >= 1, 0-indexed) at columns i..n-1 using column i-1,
@@ -394,18 +384,15 @@ def _reduce_with_scale(
     basis = SysNFBasis(modulus, tuple(x % modulus for x in raw_b))
 
     # Coefficient transport: sigma sends the vector with coefficients c in
-    # H P1 R P3 (p1 already includes the sign flip) to the SysNF vector with
-    # coefficients c.  B U1 = H spans the input lattice, so one exact inverse
-    # does it.
-    p1_mat = ExactMatrix.from_columns(p1)
-    r_mat = _rotation_to_front(n)
-    # P3 subtracts reduction_q[j] copies of column 0 from column j+1 of B4.
-    p3_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for j, q in enumerate(reduction_q):
-        p3_rows[0][j + 1] = -q
-    p3_mat = ExactMatrix(p3_rows)
-
-    sigma = basis.to_matrix() @ (h @ p1_mat @ r_mat @ p3_mat).inverse()
+    # M = H P1 R P3 (p1 already includes the sign flip) to the SysNF vector
+    # with coefficients c.  B U1 = H spans the input lattice, so sigma is
+    # S M^-1 = S adj(M) / det(M), with S the SysNF matrix.
+    hp1 = [[sum(map(operator.mul, row, c)) for row in h_rows] for c in p1]
+    # R moves the last column of H P1 to the front; P3 then subtracts
+    # reduction_q[j] copies of that column from column j+1.
+    last = hp1[n - 1]
+    m_cols = [last] + [[x - q * y for x, y in zip(c, last)] for c, q in zip(hp1, reduction_q)]
+    sigma = basis.to_matrix() @ ExactMatrix.from_columns(m_cols).inverse()
     cert = ReductionCertificate(basis, sigma, t, delta, epsilon)
 
     # Exact verification.  Per-basis-vector bound first, then a global
@@ -413,14 +400,15 @@ def _reduce_with_scale(
     # and Delta the per-column perturbation (1/T on the sub-diagonal of
     # columns 1..n-1, delta/T on column n), so
     #   sup ||err|| / ||v|| <= sum_i ||Delta_i|| * ||row_i(H^-1)||.
-    for j in range(n):
-        if not cert.relative_error_holds(b.column(j)):
+    for col in zip(*b.integer_form()[1]):
+        if not cert.relative_error_holds(col):
             return None
-    h_inv = h.inverse()
+    # H^-1 = rows / d_inv, so ||row_i(H^-1)||^2 = sum(row_i^2) / d_inv^2.
+    d_inv, inv_rows = h.inverse().integer_form()
     bound = Fraction(0)
-    for i in range(n):
+    for i, row in enumerate(inv_rows):
         delta_norm = Fraction(delta, t) if i == n - 1 else Fraction(1, t)
-        bound += delta_norm * sqrt_upper_bound(norm_sq(h_inv.row(i)))
+        bound += delta_norm * sqrt_upper_bound(Fraction(sum(x * x for x in row), d_inv * d_inv))
     if bound > epsilon:
         return None
     return cert

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from latdft.errors import MembershipError, RankError, SizeGuardError
 from latdft.intlat import (
     ExactMatrix,
     as_fraction_vec,
+    box_points,
     brute_force_cvp,
     coefficients_in_basis,
     cvp_exact,
@@ -225,6 +227,18 @@ def ref_row_bound(b: ExactMatrix, target_reach: int) -> int:
     return worst
 
 
+def ref_box_bounds(b: ExactMatrix, center, radius) -> list:
+    """Coefficient box of :func:`intlat.box_points` from the Fraction inverse and Fraction slacks."""
+    inv = ref_inverse(b)
+    zc = ref_mul_vec(inv, center)
+    radius = Fraction(radius)
+    bounds = []
+    for i in range(b.nrows):
+        slack = sqrt_upper_bound(norm_sq(inv.row(i))) * radius
+        bounds.append((math.floor(zc[i] - slack), math.ceil(zc[i] + slack)))
+    return bounds
+
+
 def ref_integral_image(m: ExactMatrix, v) -> tuple:
     w = ref_mul_vec(m, v)
     if any(x.denominator != 1 for x in w):
@@ -413,6 +427,84 @@ def test_solve_rejects_wrong_length():
         ExactMatrix([[2, 1], [0, 1]]).solve((1, 2, 3))
 
 
+# -- the canonical integer form ------------------------------------------------------
+
+
+def fraction_rows(rows) -> tuple:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def assert_canonical(m: ExactMatrix, want: tuple) -> None:
+    """m holds (D, D m) in lowest terms and reads back as the Fraction rows want."""
+    den, ints = m.integer_form()
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in ints for x in row)
+    assert math.gcd(den, *(x for row in ints for x in row)) == 1
+    # Entry access before rows(): both build the Fraction rows on first use.
+    assert all(same(m[i, j], want[i][j]) for i in range(len(want)) for j in range(len(want[0])))
+    assert same(m.rows(), want)
+    assert ints == tuple(tuple(int(x * den) for x in row) for row in want)
+
+
+def routes(rows: list) -> list:
+    """The matrix of the given entries, built by every construction route."""
+    base = ExactMatrix(rows)
+    n, k = base.nrows, base.ncols
+    out = [
+        base,
+        ExactMatrix(fraction_rows(rows)),
+        ExactMatrix([[str(Fraction(x)) for x in row] for row in rows]),
+        ExactMatrix.identity(n) @ base @ ExactMatrix.identity(k),
+        base.transpose().transpose(),
+        ExactMatrix.from_columns(base.columns()),
+        base.scale(Fraction(3, 7)).scale(Fraction(7, 3)),
+        base.scale(-1).scale(-1),
+    ]
+    if all(Fraction(x).denominator == 1 for row in rows for x in row):
+        out.append(ExactMatrix(np.array([[int(x) for x in row] for row in rows], dtype=np.int64)))
+    if n == k and ref_determinant(base) != 0:
+        out.append(ExactMatrix(rows).inverse().inverse())
+    return out
+
+
+@PROPS
+@given(shapes, entry_kinds, entry_kinds, st.data())
+def test_every_route_gives_the_canonical_integer_form(shape, kind_a, kind_b, data):
+    r, k, c = shape
+    rows = data.draw(st.lists(st.lists(kind_a, min_size=k, max_size=k), min_size=r, max_size=r))
+    other = data.draw(rect(k, c, kind_b))
+    want = fraction_rows(rows)
+    built = routes(rows)
+    for m in built:
+        assert_canonical(m, want)
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert repr(m) == repr(built[0])
+        assert m.is_integer() is all(x.denominator == 1 for row in want for x in row)
+    # Every result of arithmetic is canonical too, and equals its Fraction reference.
+    a = ExactMatrix(rows)
+    cst = data.draw(st.one_of(small_ints, rationals))
+    results = [
+        (a @ other, ref_matmul(a, other)),
+        (a.transpose(), tuple(zip(*want))),
+        (a.scale(cst), tuple(tuple(cst * x for x in row) for row in want)),
+    ]
+    if r == k and ref_determinant(a) != 0:
+        results.append((a.inverse(), ref_inverse(a).rows()))
+    for got, ref in results:
+        assert_canonical(got, fraction_rows(ref))
+        assert got == ExactMatrix(ref) and hash(got) == hash(ExactMatrix(ref))
+
+
+def test_numpy_integer_entries_do_not_wrap_past_int64():
+    a = ExactMatrix(np.array([[2**40, 1], [0, 1]]))
+    assert (a @ a)[0, 0] == 2**80
+    assert a @ a == ExactMatrix([[2**80, 2**40 + 1], [0, 1]])
+    got = determinant(ExactMatrix(np.array([[2**40, 3], [5, 2**40]])))
+    assert same(got, 2**80 - 15)
+    b = ExactMatrix(np.array([[True, False], [np.int32(3), np.uint8(4)]], dtype=object))
+    assert_canonical(b, fraction_rows([[1, 0], [3, 4]]))
+
+
 # -- LLL -------------------------------------------------------------------------------
 
 deltas = st.sampled_from([Fraction(3, 4), Fraction(99, 100), Fraction(1), Fraction(1, 3)])
@@ -583,6 +675,27 @@ class TestGramSchmidt:
     def test_dependent_columns(self):
         with pytest.raises(RankError):
             gram_schmidt(ExactMatrix([[1, 2], [2, 4]]))
+
+
+# -- enumeration boxes ---------------------------------------------------------------
+
+
+@PROPS
+@given(basis_and_targets(), st.data())
+def test_box_points_bounds_match_fraction_formula(bt, data):
+    b, centres = bt
+    assume(b.is_square and ref_determinant(b) != 0)
+    radii = st.one_of(
+        st.fractions(min_value=0, max_value=6, max_denominator=9),
+        st.integers(0, 6),
+        st.floats(min_value=0, max_value=6, allow_nan=False),
+    )
+    n = b.ncols
+    centres = centres + [data.draw(st.lists(small_ints, min_size=n, max_size=n))]
+    with mock.patch.object(intlat, "lex_box", lambda bounds: bounds):
+        for centre in centres:
+            radius = data.draw(radii)
+            assert box_points(b, centre, radius) == ref_box_bounds(b, centre, radius)
 
 
 # -- size-reduction and Lovasz oracles ---------------------------------------------------

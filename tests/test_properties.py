@@ -28,6 +28,7 @@ from latdft.intlat import (
     integral_rows,
     is_hnf,
     is_size_reduced,
+    lex_box,
     lll_reduce,
     membership,
     nearest_plane,
@@ -102,6 +103,27 @@ def test_box_points_covers_ball(bc, radius):
     rows = [tuple(z) for z in box.tolist()]
     assert rows == sorted(rows)
     assert set(_padded_ball(b, centre, radius)) <= set(rows)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [(-2, 3)],
+        [(4, 4)],
+        [(-1, 1), (0, 2)],
+        [(-3, -2), (5, 7), (0, 0)],
+        [(0, 1), (-1, 1), (2, 3), (-2, 0)],
+        # An empty axis empties the box, wherever it sits.
+        [(1, 0)],
+        [(0, 2), (3, 1)],
+        [(-1, 1), (2, -5), (0, 3), (1, 1)],
+    ],
+)
+def test_lex_box_matches_product_order(bounds):
+    got = lex_box(bounds)
+    want = list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)))
+    assert got.dtype == np.int64 and got.shape == (len(want), len(bounds))
+    assert got.tolist() == [list(z) for z in want]
 
 
 @PROPS
