@@ -51,6 +51,10 @@ from .sysnf import (
     validate,
 )
 
+# The battery's seed, recorded in the selftest summary; criteria 8 and 10 draw
+# from it, the others from seeds of their own.
+SEED = 20260810
+
 # (n, N, b): the unitarity instance set.  Two members violate the coprimality
 # condition and are expected to be rejected by validation.
 INSTANCE_SET = [
@@ -89,12 +93,12 @@ def _validated_instances() -> list[SysNFBasis]:
 
 def _timed(number, name, fn, budget=None) -> CriterionResult:
     """Run one criterion; ``budget`` is (seconds, label), and a slower run fails."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, details = fn()
     except Exception as exc:  # a crash is a failure, not an abort
         passed, details = False, f"exception: {exc!r}"
-    seconds = time.time() - t0
+    seconds = time.perf_counter() - t0
     if budget is not None and seconds > budget[0]:
         passed, details = False, f"{details} (over {budget[1]} budget)"
     return CriterionResult(number, name, passed, details, seconds)
@@ -222,7 +226,7 @@ def criterion_7_fourth_power() -> CriterionResult:
 
 def criterion_8_reduction_contract() -> CriterionResult:
     def run():
-        rng = random.Random(20260810)
+        rng = random.Random(SEED)
         bases = []
         for dim in (2, 3):
             while sum(1 for b in bases if b.nrows == dim) < 10:
@@ -287,7 +291,7 @@ def criterion_10_sampler_pac() -> CriterionResult:
         eps = Fraction(1, 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = sample(spec, b, eps, shots=0, seed=20260810)
+            res = sample(spec, b, eps, shots=0, seed=SEED)
         target = brute_force_target(
             lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),
             b,

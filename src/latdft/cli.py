@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, reduce, dft, qft-sim, sample, selftest.
-Exit codes: 0 success, 1 usage or I/O error, 2 domain rejection (invalid
-SysNF input or similar), 3 invariant failure in selftest.
+Exit codes: 0 success; 1 usage, I/O or parameter error (an unreadable input,
+an unwritable ``--out``, a bad sampler config, a size guard); 2 invalid SysNF
+input; 3 a failed check in qft-sim or selftest.
+
+The subcommands call the library and let its exceptions rise; ``main`` is the
+one place that maps them to exit codes.  Every failure prints one line:
+``error: ...`` on stderr for exit 1, ``INVALID SysNF input: ...`` on stdout
+for exit 2.  Any other exception is a bug and propagates with its traceback.
 
 All randomness flows from a single 64-bit seed through numpy's default
 PCG64 generator, so runs are reproducible bit for bit; summary documents
@@ -17,6 +23,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from .errors import ConditionError, LatdftError, StructureError
 
 
 def _config_hash(payload) -> str:
@@ -39,23 +47,9 @@ def _read_matrix(path: str):
 
 
 def cmd_validate(args) -> int:
-    from .errors import ConditionError, StructureError
     from .sysnf import validate
 
-    try:
-        m = _read_matrix(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return 1
-    try:
-        basis = validate(m)
-    except StructureError as exc:
-        print(f"INVALID (structure): {exc}")
-        return 2
-    except ConditionError as exc:
-        print(f"INVALID (condition): {exc}")
-        print(f"gcd(sum(b^2)+1, N) = {exc.gcd}")
-        return 2
+    basis = validate(_read_matrix(args.input))
     print("VALID SysNF basis")
     print(f"N = {basis.N}")
     print(f"b = {list(basis.b)}")
@@ -64,21 +58,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .errors import ParameterError, RankError, SearchExhaustedError
     from .intlat import as_fraction_vec, norm_sq, sqrt_upper_bound, vec_sub
     from .sysnf import reduce_to_sysnf
 
-    try:
-        m = _read_matrix(args.input)
-        epsilon = Fraction(args.epsilon)
-    except (OSError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cert = reduce_to_sysnf(m, epsilon)
-    except (ParameterError, RankError, SearchExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    m = _read_matrix(args.input)
+    epsilon = Fraction(args.epsilon)
+    cert = reduce_to_sysnf(m, epsilon)
     # Largest verified relative error over the basis vectors, as a float.
     worst = 0.0
     for j in range(m.ncols):
@@ -100,27 +85,12 @@ def cmd_reduce(args) -> int:
 
 
 def _load_transform(args):
-    """(basis, dense DFT, output directory) for a SysNF input file, or an exit code."""
+    """(basis, dense DFT, output directory) for a SysNF input file."""
     from .dft import dft_matrix
-    from .errors import ConditionError, SizeGuardError, StructureError
     from .sysnf import validate
 
-    try:
-        m = _read_matrix(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        basis = validate(m)
-    except (StructureError, ConditionError) as exc:
-        print(f"INVALID SysNF input: {exc}")
-        return 2
-    try:
-        cm = dft_matrix(basis)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return basis, cm, Path(args.out or ".")
+    basis = validate(_read_matrix(args.input))
+    return basis, dft_matrix(basis), Path(args.out or ".")
 
 
 def cmd_dft(args) -> int:
@@ -128,10 +98,7 @@ def cmd_dft(args) -> int:
 
     from .dft import export_character_matrix_csv
 
-    loaded = _load_transform(args)
-    if isinstance(loaded, int):
-        return loaded
-    basis, cm, outdir = loaded
+    _, cm, outdir = _load_transform(args)
     outdir.mkdir(parents=True, exist_ok=True)
     export_character_matrix_csv(cm, outdir / "dft_matrix.csv", outdir / "dft_header.json")
     dev = float(np.abs(cm.matrix.conj().T @ cm.matrix - np.eye(cm.order)).max())
@@ -142,31 +109,21 @@ def cmd_dft(args) -> int:
 
 
 def cmd_qft_sim(args) -> int:
-    from .errors import LatdftError, SizeGuardError
     from .qcirc import basis_state, circuit_steps, dense_deviation, save_snapshot
     from .sysnf import ln_membership
 
-    loaded = _load_transform(args)
-    if isinstance(loaded, int):
-        return loaded
-    basis, cm, outdir = loaded
+    basis, cm, outdir = _load_transform(args)
     # The check comes first: its statevector guard bounds the snapshots too.
-    try:
-        worst = dense_deviation(basis, cm.matrix)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir.mkdir(parents=True, exist_ok=True)
+    worst = dense_deviation(basis, cm.matrix)
+    steps = ()
     if args.dump_state:
-        try:
-            coords = tuple(int(t) % basis.N for t in args.dump_state.split(","))
-            if not ln_membership(basis, coords):
-                raise ValueError(f"{coords} is not a point of L_N")
-        except (ValueError, LatdftError) as exc:
-            print(f"error: bad --dump-state: {exc}", file=sys.stderr)
-            return 1
-        for name, psi in circuit_steps(basis, basis_state(basis.N, basis.n, coords)):
-            save_snapshot(psi, outdir / name)
+        coords = tuple(int(t) % basis.N for t in args.dump_state.split(","))
+        if not ln_membership(basis, coords):
+            raise ValueError(f"--dump-state {coords} is not a point of L_N")
+        steps = circuit_steps(basis, basis_state(basis.N, basis.n, coords))
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, psi in steps:
+        save_snapshot(psi, outdir / name)
     report = {
         "N": basis.N,
         "n": basis.n,
@@ -185,7 +142,6 @@ def cmd_qft_sim(args) -> int:
 def cmd_sample(args) -> int:
     import numpy as np
 
-    from .errors import LatdftError
     from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
 
     try:
@@ -200,22 +156,17 @@ def cmd_sample(args) -> int:
         s_target = float(spec_cfg["s"])
         s_f = 1.0 / (2.0 * s_target)
         grid_radius = float(spec_cfg.get("grid_radius", 6.0 * s_f))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"bad config: {exc}") from exc
 
-    try:
-        spec = gaussian_spec(s_f, grid_radius=grid_radius)
-        result = sample(spec, m, epsilon, shots=shots, seed=seed)
-        target = brute_force_target(
-            lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),
-            m,
-            box_radius=6.0 * s_target,
-        )
-        tv, disp = pac_distance(result.distribution, target, match_radius=float(epsilon))
-    except LatdftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = gaussian_spec(s_f, grid_radius=grid_radius)
+    result = sample(spec, m, epsilon, shots=shots, seed=seed)
+    target = brute_force_target(
+        lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),
+        m,
+        box_radius=6.0 * s_target,
+    )
+    tv, disp = pac_distance(result.distribution, target, match_radius=float(epsilon))
 
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -244,13 +195,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import SEED, run_all
 
     results = run_all(echo=print)
-    config = {"seed": args.seed, "suite": "acceptance", "criteria": len(results)}
+    config = {"seed": SEED, "suite": "acceptance", "criteria": len(results)}
     summary = {
         "config_hash": _config_hash(config),
-        "seed": args.seed,
+        "seed": SEED,
         "criteria": [
             {
                 "number": r.number,
@@ -306,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the full acceptance battery")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=20260810, help="recorded in the summary")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -318,7 +268,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (StructureError, ConditionError) as exc:
+        print(f"INVALID SysNF input: {exc}")
+        return 2
+    except (LatdftError, OSError, ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latdft import intlat
+from latdft import acceptance, intlat, sysnf
 from latdft.cli import main
 from latdft.sysnf import ReductionCertificate
 
@@ -32,7 +32,9 @@ class TestValidate:
 
     def test_invalid_exit_two_names_gcd(self, files, capsys):
         assert main(["validate", "--input", str(files / "bad.txt")]) == 2
-        assert "2" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == "INVALID SysNF input: gcd(sum(b^2)+1, N) = gcd(2, 4) = 2 != 1\n"
+        assert captured.err == ""
 
     def test_malformed_exit_one(self, files):
         assert main(["validate", "--input", str(files / "junk.txt")]) == 1
@@ -148,6 +150,7 @@ class TestQftSim:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (files / "sim").exists()
 
 
 MALFORMED = {
@@ -258,6 +261,8 @@ class TestSample:
             pytest.param({"spec": {"kind": "gaussian", "s": -2.0}}, id="s-negative"),
             pytest.param({"spec": {"kind": "gaussian", "s": math.nan}}, id="s-nan"),
             pytest.param({"spec": {"kind": "gaussian", "s": 1e300}}, id="s-huge"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 10**400}}, id="s-beyond-float"),
+            pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": 10**400}}, id="grid-radius-beyond-float"),
             pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": math.inf}}, id="grid-radius-inf"),
             pytest.param({"spec": {"kind": "gaussian", "s": 16.0, "grid_radius": math.nan}}, id="grid-radius-nan"),
             pytest.param({"spec": {"kind": "uniform", "s": 16.0}}, id="kind-unsupported"),
@@ -284,7 +289,65 @@ class TestSample:
         cfg = files / "bad_cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["sample", "--config", str(cfg)]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSelftest:
+    def test_summary_exit_zero(self, tmp_path, capsys):
+        assert main(["selftest", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "selftest_summary.json").read_text())
+        assert set(summary) == {"config_hash", "seed", "criteria", "all_passed"}
+        assert summary["seed"] == acceptance.SEED and summary["all_passed"] is True
+        assert [c["number"] for c in summary["criteria"]] == list(range(1, 13))
+        for c in summary["criteria"]:
+            assert set(c) == {"number", "name", "passed", "details", "seconds"}
+        assert "summary written to" in capsys.readouterr().out
+
+    def test_failed_criterion_exit_three(self, tmp_path, monkeypatch):
+        def failing():
+            return acceptance._timed(1, "forced failure", lambda: (False, "forced"))
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [failing])
+        assert main(["selftest", "--out", str(tmp_path)]) == 3
+        summary = json.loads((tmp_path / "selftest_summary.json").read_text())
+        assert summary["all_passed"] is False
+        assert summary["criteria"][0]["details"] == "forced"
+
+    def test_seed_option_removed(self):
+        assert main(["selftest", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["reduce", "dft", "qft-sim", "sample", "selftest"])
+def test_out_under_regular_file_exit_one(files, capsys, command):
+    cfg = files / "cfg.json"
+    cfg.write_text(json.dumps({
+        "basis": str(files / "reducible.txt"),
+        "spec": {"kind": "gaussian", "s": 16.0},
+        "epsilon": "1/16",
+        "shots": 10,
+        "seed": 1,
+    }))
+    argv = {
+        "reduce": ["--input", str(files / "reducible.txt"), "--epsilon", "1/16"],
+        "dft": ["--input", str(files / "good.txt")],
+        "qft-sim": ["--input", str(files / "good.txt"), "--dump-state", "1,1"],
+        "sample": ["--config", str(cfg)],
+        "selftest": [],
+    }[command]
+    assert main([command, *argv, "--out", str(files / "good.txt" / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unexpected_exception_propagates(files, monkeypatch):
+    # Only the documented failures become exit codes; anything else is a bug.
+    def broken(m):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(sysnf, "validate", broken)
+    with pytest.raises(RuntimeError, match="broken invariant"):
+        main(["validate", "--input", str(files / "good.txt")])
 
 
 def test_usage_error_exit_one():
