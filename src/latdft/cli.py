@@ -40,6 +40,14 @@ def _config_int(config: dict, key: str) -> int:
     return value
 
 
+def _rational(text: str, name: str) -> Fraction:
+    """Fraction(text); ValueError naming the option or key ``name`` and the text given."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be an exact rational such as 1/16, got {text!r}") from None
+
+
 def _read_matrix(path: str):
     from .intlat import parse_matrix_text
 
@@ -62,7 +70,7 @@ def cmd_reduce(args) -> int:
     from .sysnf import reduce_to_sysnf
 
     m = _read_matrix(args.input)
-    epsilon = Fraction(args.epsilon)
+    epsilon = _rational(args.epsilon, "--epsilon")
     cert = reduce_to_sysnf(m, epsilon)
     # Largest verified relative error over the basis vectors, as a float.
     worst = 0.0
@@ -148,7 +156,7 @@ def cmd_sample(args) -> int:
         config = json.loads(Path(args.config).read_text())
         m = _read_matrix(config["basis"])
         spec_cfg = config["spec"]
-        epsilon = Fraction(str(config["epsilon"]))
+        epsilon = _rational(str(config["epsilon"]), "epsilon")
         shots = _config_int(config, "shots")
         seed = _config_int(config, "seed")
         if spec_cfg.get("kind") != "gaussian":

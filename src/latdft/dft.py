@@ -15,7 +15,7 @@ import numpy as np
 
 from . import intlat
 from .errors import MembershipError, SizeGuardError, ZeroMassError
-from .sysnf import SysNFBasis, ln_first, ln_index, ln_membership, ln_points
+from .sysnf import SysNFBasis, grid_size, ln_first, ln_index, ln_membership, ln_points, ln_size
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,7 @@ def full_grid_dft_restricted(s: SysNFBasis, f: LatticeFunction) -> np.ndarray:
     The grid holds N^n entries, N times the input; more than
     ``intlat.BOX_GUARD`` raises :class:`SizeGuardError` before it is allocated.
     """
-    n, N = s.n, s.N
-    if N**n > intlat.BOX_GUARD:
-        raise SizeGuardError(f"full grid N^n = {N ** n} entries exceed guard {intlat.BOX_GUARD}")
-    grid = np.zeros((N,) * n, dtype=complex)
+    grid = np.zeros(grid_size(s.N, s.n), dtype=complex).reshape((s.N,) * s.n)
     pts = ln_points(s)
     grid[tuple(pts.T)] = f.values
     hat = np.fft.fftn(grid)
@@ -158,9 +155,7 @@ def eigen_explore(s: SysNFBasis) -> dict[str, int]:
     :class:`SizeGuardError` before the histogram is built; an invalid basis,
     where F^2 is not the negation, raises :class:`ConditionError`.
     """
-    m = s.N ** (s.n - 1)
-    if m > intlat.BOX_GUARD:
-        raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
+    m = ln_size(s)
     if s.n == 1:  # L_N = {0}: F = [[1]] at any N
         return {"+1": 1, "+i": 0, "-1": 0, "-i": 0}
     s.condition_inverse()

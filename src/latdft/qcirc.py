@@ -18,9 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import intlat
-from .errors import ModulusMismatchError, SizeGuardError, UncomputeError
-from .sysnf import SysNFBasis, ln_first
+from .errors import ModulusMismatchError, UncomputeError
+from .sysnf import SysNFBasis, grid_size, ln_first, ln_size
 
 SUPPORT_TOL = 1e-12
 # Output points per slab of the inverse-shear gather: about 128 KiB of int64 index.
@@ -55,14 +54,8 @@ class Statevector:
         return complex(self.amps[self.index_of(coords)])
 
 
-def _guard_statevector(N: int, n: int) -> None:
-    if N**n > intlat.BOX_GUARD:
-        raise SizeGuardError(f"statevector N^n = {N ** n} amplitudes exceed guard {intlat.BOX_GUARD}")
-
-
 def basis_state(N: int, n: int, coords) -> Statevector:
-    _guard_statevector(N, n)
-    amps = np.zeros(N**n, dtype=complex)
+    amps = np.zeros(grid_size(N, n), dtype=complex)
     sv = Statevector(N, n, amps)
     amps[sv.index_of(coords)] = 1.0
     return sv
@@ -123,18 +116,16 @@ def qft_mod_n(psi: Statevector, register: int) -> Statevector:
 def step_apply_basis(s: SysNFBasis, psi: Statevector) -> Statevector:
     """Prepend a register holding sum_j b_j z_j mod N; output lands on L_N."""
     _check_registers(s, psi, s.n - 1)
-    m = s.N ** (s.n - 1)
-    out = np.zeros((s.N, m), dtype=complex)
-    out[ln_first(s), np.arange(m)] = psi.amps
-    return Statevector(s.N, s.n, out.reshape(-1))
+    out = np.zeros(grid_size(s.N, s.n), dtype=complex)
+    out.reshape(s.N, -1)[ln_first(s), np.arange(len(psi.amps))] = psi.amps
+    return Statevector(s.N, s.n, out)
 
 
 def lattice_membership_mask(s: SysNFBasis) -> np.ndarray:
     """Boolean mask over the full N^n index selecting the L_N basis states."""
-    m = s.N ** (s.n - 1)
-    mask = np.zeros((s.N, m), dtype=bool)
-    mask[ln_first(s), np.arange(m)] = True
-    return mask.reshape(-1)
+    mask = np.zeros(grid_size(s.N, s.n), dtype=bool)
+    mask.reshape(s.N, -1)[ln_first(s), np.arange(s.N ** (s.n - 1))] = True
+    return mask
 
 
 def circuit_steps(s: SysNFBasis, psi: Statevector) -> Iterator[tuple[str, Statevector]]:
@@ -178,7 +169,7 @@ def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
     :func:`lattice_qft_values` on L_N and pass through unchanged elsewhere.
     More than ``intlat.BOX_GUARD`` amplitudes raise :class:`SizeGuardError` first.
     """
-    _guard_statevector(s.N, s.n)
+    size = grid_size(s.N, s.n)
     m = s.N ** (s.n - 1)
     unit = np.zeros(m, dtype=complex)
     worst = 0.0
@@ -187,7 +178,7 @@ def dense_deviation(s: SysNFBasis, matrix: np.ndarray) -> float:
         worst = max(worst, float(np.abs(lattice_qft_values(s, unit) - matrix[:, j]).max()))
         unit[j] = 0.0
     # Standard normal, not normalized: an error in one amplitude shows at about its own size.
-    probe = np.random.default_rng(0).standard_normal(2 * s.N**s.n).view(complex)
+    probe = np.random.default_rng(0).standard_normal(2 * size).view(complex)
     out = simulate_sysnf_qft(s, Statevector(s.N, s.n, probe)).amps
     # The probe becomes the expected output in place; L_N point i sits at
     # full-grid index x_1 N^(n-1) + i.
@@ -262,9 +253,7 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     is what the sampler requires for the large moduli produced by basis
     reduction.
     """
-    m = s.N ** (s.n - 1)
-    if m > intlat.BOX_GUARD:
-        raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
+    m = ln_size(s)
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
     # The compressed shear is a permutation only when valid; unshear_slabs

@@ -37,7 +37,7 @@ from .intlat import (
     voronoi_relevant,
 )
 from .qcirc import lattice_qft_values
-from .sysnf import ReductionCertificate, ln_index, phi3, reduce_to_sysnf
+from .sysnf import ReductionCertificate, ln_index, ln_size, phi3, reduce_to_sysnf
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
@@ -224,12 +224,9 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     cert = reduce_to_sysnf(b, eps_reduce)
     s = cert.basis
     big_n, t_scale = s.N, cert.T
-    # Modular dot products below must stay inside int64.
-    if (n - 1) * s.N * s.N >= 2**62:
-        raise SizeGuardError("reduced modulus too large for vectorized index arithmetic")
-    ln_size = big_n ** (n - 1)
-    if ln_size > intlat.BOX_GUARD:
-        raise SizeGuardError(f"|L_N| = N^(n-1) = {ln_size} points exceed guard {intlat.BOX_GUARD}")
+    # Within the |L_N| guard, (n - 1) N^2 <= BOX_GUARD^2: the modular dot
+    # products below stay inside int64.
+    lattice_points = ln_size(s)
 
     # Step 2: amplitudes F(T x / N) on the centered residue grid, truncated to
     # the declared support radius.
@@ -277,7 +274,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
 
     carrying = mass >= CARRYING_MASS
     tag_ok = (nearest_plane_rows(dual_red, x) % big_n == y).all(axis=1)
-    acc = np.zeros(big_n ** (n - 1), dtype=complex)
+    acc = np.zeros(lattice_points, dtype=complex)
     # add.at and the row-order sum add in grid order, as a per-point loop would.
     np.add.at(acc, ln_index(s, x[tag_ok, 1:]), amps[tag_ok])
     ancilla_mass = sum(mass[~tag_ok].tolist(), 0.0)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import intlat
 from .errors import (
     ConditionError,
     ModulusMismatchError,
@@ -79,10 +79,11 @@ class SysNFBasis:
         return self.condition_gcd == 1
 
     def condition_inverse(self) -> int:
-        """Inverse of sum(b_j^2) + 1 modulo N; exists exactly when valid."""
+        """Inverse of sum(b_j^2) + 1 modulo N: the one check of the gcd condition."""
         if not self.is_valid:
             raise ConditionError(
-                f"gcd(sum(b^2)+1, N) = {self.condition_gcd} != 1; no modular inverse",
+                f"gcd(sum(b^2)+1, N) = gcd({self.condition_sum}, {self.N}) = "
+                f"{self.condition_gcd} != 1",
                 gcd=self.condition_gcd,
             )
         return pow(self.condition_sum % self.N, -1, self.N) if self.N > 1 else 0
@@ -119,13 +120,24 @@ def validate(m: ExactMatrix) -> SysNFBasis:
                     f"rows below the first must be the identity; entry ({i},{j}) is {x}"
                 )
     basis = SysNFBasis(rows[0][0], rows[0][1:])
-    if not basis.is_valid:
-        raise ConditionError(
-            f"gcd(sum(b^2)+1, N) = gcd({basis.condition_sum}, {basis.N}) = "
-            f"{basis.condition_gcd} != 1",
-            gcd=basis.condition_gcd,
-        )
+    basis.condition_inverse()
     return basis
+
+
+def ln_size(s: SysNFBasis) -> int:
+    """|L_N| = N^(n-1), the one size check for arrays over L_N, made before they are built."""
+    m = s.N ** (s.n - 1)
+    if m > intlat.BOX_GUARD:
+        raise SizeGuardError(f"|L_N| = N^(n-1) = {m} points exceed guard {intlat.BOX_GUARD}")
+    return m
+
+
+def grid_size(N: int, n: int) -> int:
+    """N^n, the one size check for statevectors and grids over Z_N^n, made before they are built."""
+    size = N**n
+    if size > intlat.BOX_GUARD:
+        raise SizeGuardError(f"statevector N^n = {size} amplitudes exceed guard {intlat.BOX_GUARD}")
+    return size
 
 
 def _points(s: SysNFBasis, x) -> np.ndarray:
@@ -156,10 +168,11 @@ def ln_points(s: SysNFBasis) -> np.ndarray:
     (x_2, ..., x_n) in lexicographic order, each with x_1 = b . tail mod N.
     """
     k = s.n - 1
+    x1 = ln_first(s)  # guards |L_N| before the n |L_N| entries below
     # Coordinate-major storage: each column is contiguous, and the sparse
     # index grids broadcast straight into it without a full-size temporary.
     cols = np.empty((s.n,) + (s.N,) * k, dtype=np.int64)
-    cols[0] = ln_first(s).reshape((s.N,) * k)
+    cols[0] = x1.reshape((s.N,) * k)
     for i, axis in enumerate(np.indices((s.N,) * k, dtype=np.int64, sparse=True)):
         cols[1 + i] = axis
     return cols.reshape(s.n, s.N**k).T
@@ -170,8 +183,9 @@ def ln_first(s: SysNFBasis) -> np.ndarray:
 
     Accumulated from broadcast sparse index grids, so the only full-size array
     is the result.  Entries stay below (n-1) N^2, which int64 holds for every
-    N with N^(n-1) <= intlat.BOX_GUARD.
+    N with N^(n-1) <= intlat.BOX_GUARD; :func:`ln_size` refuses the rest.
     """
+    ln_size(s)
     k = s.n - 1
     if k == 0:  # n = 1: the one point 0, at any N (N >= 2^63 has no int64)
         return np.zeros(1, dtype=np.int64)
@@ -194,6 +208,8 @@ def _dual_points(s: SysNFBasis, a: np.ndarray) -> np.ndarray:
 
 def enumerate_scaled_dual(s: SysNFBasis) -> np.ndarray:
     """The N points of (N L*)_N as an (N, n) int64 array, in order a = 0, ..., N-1."""
+    if s.N > intlat.BOX_GUARD:
+        raise SizeGuardError(f"(N L*)_N: N = {s.N} dual vectors exceed guard {intlat.BOX_GUARD}")
     return _dual_points(s, np.arange(s.N, dtype=np.int64))
 
 
@@ -306,9 +322,12 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     giving the SysNF matrix; (6) assemble sigma as one exact rational matrix
     transporting coefficient vectors through every step.
 
-    T starts at ceil(n * |det| / epsilon) and doubles until both the
-    per-basis-vector error bound and a global operator bound (which makes the
-    certificate hold for *every* lattice vector) verify exactly.
+    T starts at ceil(n * |det| / epsilon) and doubles until a global operator
+    bound (which makes the certificate hold for *every* lattice vector) and
+    the per-basis-vector error bound both verify exactly.  The scale-free parts
+    (H, |det|, the row-norm bounds r_i of H^-1, the input's columns) are
+    computed once; at each T the operator bound costs O(1) and is checked
+    before the per-column checks.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -318,31 +337,39 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     if not b.is_integer():
         raise ParameterError("basis must have integer entries")
 
-    n = b.nrows
     h, _ = hnf(b)  # raises RankError on singular input
-    det_abs = math.prod(row[i] for i, row in enumerate(h.integer_form()[1]))
+    h_rows = h.integer_form()[1]
+    det_abs = math.prod(row[i] for i, row in enumerate(h_rows))
+    # The error of any v equals Delta @ c(v) with c = H^-1 v and Delta the
+    # per-column perturbation (1/T on the sub-diagonal of columns 1..n-1,
+    # delta/T on column n), so sup ||err|| / ||v|| <= (sum_{i<n} r_i + delta r_n) / T
+    # with r_i >= ||row_i(H^-1)||.  H^-1 = rows / d_inv.
+    d_inv, inv_rows = h.inverse().integer_form()
+    r = [sqrt_upper_bound(Fraction(sum(x * x for x in row), d_inv * d_inv)) for row in inv_rows]
+    r_head, r_last = sum(r[:-1]), r[-1]
+    columns = list(zip(*b.integer_form()[1]))
 
-    t = max(1, math.ceil(Fraction(n) * det_abs / epsilon))
+    t = max(1, math.ceil(Fraction(b.nrows) * det_abs / epsilon))
     while True:
-        cert = _reduce_with_scale(b, h, t, epsilon)
-        if cert is not None:
+        cert = _reduce_with_scale(h_rows, t, epsilon)
+        if (r_head + cert.delta * r_last) / t <= epsilon and all(
+            map(cert.relative_error_holds, columns)
+        ):
             return cert
         t *= 2
         if t > SCALE_CAP:
             raise SearchExhaustedError(f"scale doubling exceeded cap {SCALE_CAP}")
 
 
-def _reduce_with_scale(
-    b: ExactMatrix, h: ExactMatrix, t: int, epsilon: Fraction
-) -> ReductionCertificate | None:
-    """One pass of the pipeline at fixed scale t; None if the bound fails."""
-    n = b.nrows
-    h_rows = h.integer_form()[1]
+def _reduce_with_scale(h_rows: list[list[int]], t: int, epsilon: Fraction) -> ReductionCertificate:
+    """The candidate certificate at fixed scale t for the HNF rows h_rows, unverified."""
+    n = len(h_rows)
 
-    # Columns of the scaled working matrix t*B2: t*H (upper triangular) plus
-    # 1 on the sub-diagonal.
-    cols = [[x * t + (i == j + 1) for i, x in enumerate(col)] for j, col in enumerate(zip(*h_rows))]
-    p1 = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P1
+    # Columns of H, and of the scaled working matrix t*B2: t*H (upper
+    # triangular) plus 1 on the sub-diagonal.  Every column operation below
+    # acts on both, so hp1 ends as H P1.
+    hp1 = [list(col) for col in zip(*h_rows)]
+    cols = [[x * t + (i == j + 1) for i, x in enumerate(col)] for j, col in enumerate(hp1)]
 
     # Clear row i (i >= 1, 0-indexed) at columns i..n-1 using column i-1,
     # whose only nonzero in that row is the sub-diagonal 1.
@@ -351,64 +378,40 @@ def _reduce_with_scale(
             q = cols[j][i]
             if q:
                 cols[j] = [x - q * y for x, y in zip(cols[j], cols[i - 1])]
-                p1[j] = [x - q * y for x, y in zip(p1[j], p1[i - 1])]
+                hp1[j] = [x - q * y for x, y in zip(hp1[j], hp1[i - 1])]
 
     # cols now realize t*B3: first row (t*b''_{1,1}, ..., t*b''_{1,n}),
     # sub-diagonal 1s, zeros elsewhere.  Column n-1 is (t*b''_{1,n}, 0, ..., 0);
     # negate it if needed so the future modulus is positive.  The flip is
-    # folded into p1, which therefore tracks the full column transform.
+    # applied to hp1 too, which therefore holds the full column transform.
     if cols[n - 1][0] < 0:
         cols[n - 1] = [-x for x in cols[n - 1]]
-        p1[n - 1] = [-x for x in p1[n - 1]]
+        hp1[n - 1] = [-x for x in hp1[n - 1]]
     modulus_base = cols[n - 1][0]
     if modulus_base == 0:
         raise RuntimeError("unexpected zero modulus for a full-rank basis")
 
-    first_row = [cols[j][0] for j in range(n)]
-    cond_sum = sum(x * x for x in first_row[: n - 1]) + 1
-    delta = None
-    for d in range(1, DELTA_SEARCH_CAP + 1):
-        if math.gcd(cond_sum, modulus_base + d) == 1:
-            delta = d
+    raw_b = [col[0] for col in cols[: n - 1]]
+    cond_sum = sum(x * x for x in raw_b) + 1
+    for delta in range(1, DELTA_SEARCH_CAP + 1):
+        if math.gcd(cond_sum, modulus_base + delta) == 1:
             break
-    if delta is None:
-        raise SearchExhaustedError(
-            f"no coprime modulus offset within {DELTA_SEARCH_CAP} candidates"
-        )
+    else:
+        raise SearchExhaustedError(f"no coprime modulus offset within {DELTA_SEARCH_CAP} candidates")
     modulus = modulus_base + delta
 
     # Assemble the SysNF basis: modulus first, then the other first-row
     # entries reduced mod the modulus (each reduction is a column operation).
-    raw_b = first_row[: n - 1]
     reduction_q = [x // modulus for x in raw_b]
     basis = SysNFBasis(modulus, tuple(x % modulus for x in raw_b))
 
     # Coefficient transport: sigma sends the vector with coefficients c in
-    # M = H P1 R P3 (p1 already includes the sign flip) to the SysNF vector
-    # with coefficients c.  B U1 = H spans the input lattice, so sigma is
+    # M = H P1 R P3 (P1 including the sign flip) to the SysNF vector with
+    # coefficients c.  B U1 = H spans the input lattice, so sigma is
     # S M^-1 = S adj(M) / det(M), with S the SysNF matrix.
-    hp1 = [[sum(map(operator.mul, row, c)) for row in h_rows] for c in p1]
     # R moves the last column of H P1 to the front; P3 then subtracts
     # reduction_q[j] copies of that column from column j+1.
     last = hp1[n - 1]
     m_cols = [last] + [[x - q * y for x, y in zip(c, last)] for c, q in zip(hp1, reduction_q)]
     sigma = basis.to_matrix() @ ExactMatrix.from_columns(m_cols).inverse()
-    cert = ReductionCertificate(basis, sigma, t, delta, epsilon)
-
-    # Exact verification.  Per-basis-vector bound first, then a global
-    # operator bound: the error of any v equals Delta @ c(v) with c = H^-1 v
-    # and Delta the per-column perturbation (1/T on the sub-diagonal of
-    # columns 1..n-1, delta/T on column n), so
-    #   sup ||err|| / ||v|| <= sum_i ||Delta_i|| * ||row_i(H^-1)||.
-    for col in zip(*b.integer_form()[1]):
-        if not cert.relative_error_holds(col):
-            return None
-    # H^-1 = rows / d_inv, so ||row_i(H^-1)||^2 = sum(row_i^2) / d_inv^2.
-    d_inv, inv_rows = h.inverse().integer_form()
-    bound = Fraction(0)
-    for i, row in enumerate(inv_rows):
-        delta_norm = Fraction(delta, t) if i == n - 1 else Fraction(1, t)
-        bound += delta_norm * sqrt_upper_bound(Fraction(sum(x * x for x in row), d_inv * d_inv))
-    if bound > epsilon:
-        return None
-    return cert
+    return ReductionCertificate(basis, sigma, t, delta, epsilon)

@@ -67,6 +67,12 @@ class TestReduce:
             "reduce", "--input", str(files / "reducible.txt"), "--epsilon", "0",
         ]) == 1
 
+    @pytest.mark.parametrize("text", ["1/0", "abc"])
+    def test_unparsable_epsilon_names_option(self, files, capsys, text):
+        assert main(["reduce", "--input", str(files / "reducible.txt"), "--epsilon", text]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --epsilon must be an exact rational such as 1/16, got {text!r}\n"
+
 
 class TestDft:
     def test_outputs(self, files, capsys):
@@ -291,6 +297,20 @@ class TestSample:
         assert main(["sample", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1/0", "abc"])
+    def test_unparsable_epsilon_names_key(self, files, capsys, text):
+        cfg = files / "eps_cfg.json"
+        cfg.write_text(json.dumps({
+            "basis": str(files / "reducible.txt"),
+            "spec": {"kind": "gaussian", "s": 16.0},
+            "epsilon": text,
+            "shots": 10,
+            "seed": 1,
+        }))
+        assert main(["sample", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad config: epsilon must be an exact rational such as 1/16, got {text!r}\n"
 
 
 class TestSelftest:

@@ -4,10 +4,13 @@
 coefficient boxes and L_N indices separately in each caller, before both were
 shared; the ``decode_mismatch_rate`` entries were recorded from the
 sampler that checked closest tags against a growing set of short dual
-vectors, before the Voronoi-cell test.  These tests make "bit-identical for
-fixed seeds" a checked property: support points and draws must match
-exactly, probabilities to 1e-15, mismatch rates exactly, and the exact CVP /
-first-minimum values must be equal as rationals.
+vectors, before the Voronoi-cell test; the ``reduction`` entries were
+recorded from the reduction that rebuilt H^-1 and its row-norm bounds at
+every scale, before they were computed once per call.  These tests make
+"bit-identical for fixed seeds" a checked property: support points and draws
+must match exactly, probabilities to 1e-15, mismatch rates exactly, the exact
+CVP / first-minimum values must be equal as rationals, and reduction
+certificates must serialize to the same bytes.
 """
 
 import json
@@ -21,6 +24,7 @@ import pytest
 
 from latdft.intlat import ExactMatrix, cvp_exact, lambda1_sq
 from latdft.sampler import QESSpec, brute_force_target, gaussian_spec, sample
+from latdft.sysnf import reduce_to_sysnf
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
@@ -73,3 +77,10 @@ def test_decode_mismatch_rate(case):
         warnings.simplefilter("ignore")
         res = sample(spec, ExactMatrix.identity(2), Fraction(case["epsilon"]), shots=0, seed=0)
     assert res.decode_mismatch_rate == case["rate"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["reduction"], ids=lambda c: f"{c['basis']}-{c['epsilon']}")
+def test_reduction_certificate(case):
+    # The sampler's reductions, one T doubling (I_2 at 1/2), n = 3 and 4, and delta = 4.
+    cert = reduce_to_sysnf(ExactMatrix(case["basis"]), Fraction(case["epsilon"]))
+    assert cert.to_json() == case["certificate"]

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latdft import sysnf
+from latdft import intlat, sysnf
 from latdft.dft import dft_matrix
+from latdft.qcirc import Statevector, lattice_membership_mask, step_apply_basis
 from latdft.errors import (
     ConditionError,
     ModulusMismatchError,
@@ -29,6 +30,7 @@ from latdft.sysnf import (
     ReductionCertificate,
     SysNFBasis,
     enumerate_scaled_dual,
+    ln_first,
     ln_membership,
     ln_points,
     phi3,
@@ -304,3 +306,26 @@ class TestReduction:
                     w = cert.apply_sigma(v)
                     assert membership(bprime, w)
                     assert cert.relative_error_holds(v)
+
+
+S523 = SysNFBasis(5, (1, 2))  # |L_N| = 25, N^n = 125
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ln_points(S523), id="ln_points"),
+        pytest.param(lambda: ln_first(S523), id="ln_first"),
+        pytest.param(
+            lambda: step_apply_basis(S523, Statevector(5, 2, np.zeros(25, dtype=complex))),
+            id="step_apply_basis",
+        ),
+        pytest.param(lambda: lattice_membership_mask(S523), id="lattice_membership_mask"),
+        pytest.param(lambda: enumerate_scaled_dual(SysNFBasis(29, (1,))), id="enumerate_scaled_dual"),
+    ],
+)
+def test_size_guard_before_building(monkeypatch, build):
+    # Each array holds more than 24 entries: 25 points of L_N, 125 of Z_5^3, or 29 dual points.
+    monkeypatch.setattr(intlat, "BOX_GUARD", 24)
+    with pytest.raises(SizeGuardError, match="exceed guard 24"):
+        build()
