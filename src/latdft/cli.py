@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,29 +66,39 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _ceil_sci(x: Fraction) -> str:
+    """x > 0 rounded up to four significant digits, written as ``format(x, ".3e")`` writes a float."""
+    k = len(str(x.numerator)) - len(str(x.denominator))  # 10^(k-1) < x < 10^(k+1)
+    if x < Fraction(10) ** k:
+        k -= 1
+    digits = math.ceil(x / Fraction(10) ** (k - 3))  # in [1000, 10000]
+    if digits == 10**4:
+        digits, k = 10**3, k + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e{k:+03d}"
+
+
 def cmd_reduce(args) -> int:
-    from .intlat import as_fraction_vec, norm_sq, sqrt_upper_bound, vec_sub
+    from .intlat import sqrt_upper_bound
     from .sysnf import reduce_to_sysnf
 
     m = _read_matrix(args.input)
     epsilon = _rational(args.epsilon, "--epsilon")
     cert = reduce_to_sysnf(m, epsilon)
-    # Largest verified relative error over the basis vectors, as a float.
-    worst = 0.0
-    for j in range(m.ncols):
-        v = as_fraction_vec(m.column(j))
-        w = [Fraction(x, cert.T) for x in cert.apply_sigma(v)]
-        err = float(sqrt_upper_bound(norm_sq(vec_sub(w, v)))) / max(
-            float(sqrt_upper_bound(norm_sq(v))), 1e-300
-        )
-        worst = max(worst, err)
+    # The exact largest ||sigma(v) - T v||^2 / (T^2 ||v||^2) over the integer
+    # basis columns v, which is positive because delta >= 1; its square root
+    # is bounded above once and rounded up.
+    t = cert.T
+    worst = max(
+        Fraction(sum((w - t * x) ** 2 for w, x in zip(cert.apply_sigma(v), v)), t * t * sum(x * x for x in v))
+        for v in zip(*m.integer_form()[1])
+    )
     out = Path(args.out) if args.out else Path("certificate.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(cert.to_json())
     print(f"T = {cert.T}")
     print(f"delta = {cert.delta}")
     print(f"N = {cert.basis.N}")
-    print(f"max relative error over basis vectors <= {worst:.3e} (epsilon = {epsilon})")
+    print(f"max relative error over basis vectors <= {_ceil_sci(sqrt_upper_bound(worst))} (epsilon = {epsilon})")
     print(f"certificate written to {out}")
     return 0
 

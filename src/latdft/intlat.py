@@ -18,7 +18,9 @@ keeps one Bareiss elimination pass (det, adj) of D A, computed on first
 use; ``inverse``, ``solve``, ``determinant``, ``membership``,
 ``coefficients_in_basis`` and ``box_points`` read it in integer arithmetic.
 ``mul_vec`` and ``solve`` take integer dot products of D A or of the
-adjugate with the vector's integer form from ``vec_integer_form``.
+adjugate with the vector's integer form (e, w) from ``vec_integer_form``;
+``mul_vec`` returns Python ints when D e = 1 and ``Fraction``s otherwise,
+so ``nearest_plane`` and ``cvp_exact`` points on an integer basis are ints.
 ``hnf``, ``lll_reduce`` and ``nearest_plane_rows`` take their columns from
 the integer form, and the enumeration bounds of ``box_points``,
 ``cvp_exact``, ``lambda1_sq`` and ``voronoi_relevant`` are integer sums and
@@ -36,7 +38,8 @@ vectors.  Each derives an a-priori magnitude bound from its inputs with
 Python integers and raises ``SizeGuardError`` before computing if any
 intermediate could overflow int64.  The scalar routines they batch
 (``nearest_plane``, ``ExactMatrix.mul_vec``, ``membership``, ``cvp_exact``)
-stay as their test oracles.
+stay as their test oracles; on integer input the points that
+``nearest_plane``, ``mul_vec`` and ``cvp_exact`` return are Python ints.
 """
 
 from __future__ import annotations
@@ -191,10 +194,14 @@ class ExactMatrix:
             [[sum(map(operator.mul, row, col)) for col in cols] for row in self._ints],
         )
 
-    def mul_vec(self, v: Sequence) -> Vec:
+    def mul_vec(self, v: Sequence) -> tuple:
+        """self @ v exactly: Python ints when the common denominator D e of self and v is 1.
+
+        Otherwise every entry is a ``Fraction``, also where its value is integral.
+        """
         y, den = self.mul_vec_scaled(v)
         if den == 1:
-            return tuple(map(Fraction, y))
+            return tuple(y)
         return tuple(Fraction(x, den) for x in y)
 
     def mul_vec_scaled(self, v: Sequence) -> tuple[list[int], int]:
@@ -263,7 +270,8 @@ class ExactMatrix:
 
     def _solve_scaled(self, v: Sequence) -> tuple[list[int], int]:
         """Integers y and a positive integer d with self @ (y / d) = v."""
-        det, adj = self._adjugate()
+        # The kept pass when it is there and invertible; _adjugate raises otherwise.
+        det, adj = self._adj if self._adj and self._adj[1] else self._adjugate()
         if len(v) != len(adj):
             raise ValueError("dimension mismatch")
         # self^-1 = D adj(M) / det(M), and v = w / e.
@@ -288,7 +296,10 @@ class ExactMatrix:
 
 def vec_integer_form(v: Sequence) -> tuple[int, list[int]]:
     """(e, w): the least positive integer e and the vector w of Python ints with v = w / e."""
-    if all(type(x) is int for x in v):
+    for x in v:
+        if type(x) is not int:
+            break
+    else:
         return 1, list(v)
     ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in v]
     e = math.lcm(*[q for _, q in ratios])
@@ -572,7 +583,7 @@ def satisfies_lovasz(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
 # -- Babai nearest plane ---------------------------------------------------------
 
 
-def nearest_plane(b: ExactMatrix, u: Sequence) -> Vec:
+def nearest_plane(b: ExactMatrix, u: Sequence) -> tuple:
     """Babai's nearest-plane lattice point for target u, in integer arithmetic.
 
     The approximation factor 2^(n/2) against the true closest vector holds
@@ -582,7 +593,8 @@ def nearest_plane(b: ExactMatrix, u: Sequence) -> Vec:
     :func:`lll_reduce` does: with u = w / e and lam_u the integral
     projections of D w, the coefficient of b_j is lam_u[j] / (e d[j+1]),
     rounded as ``round`` rounds a Fraction, and subtracting c_j b_j from the
-    target is one size-reduction step on lam_u.
+    target is one size-reduction step on lam_u.  The point is b @ c as
+    :meth:`ExactMatrix.mul_vec` returns it: Python ints on an integer basis.
     """
     if len(u) != b.nrows:
         raise ValueError("dimension mismatch")
@@ -779,7 +791,7 @@ def in_voronoi_cell(relevant: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class CVPResult(NamedTuple):
-    point: Vec
+    point: tuple
     dist_sq: Fraction
 
 

@@ -258,6 +258,11 @@ class ReductionCertificate:
     def sigma_inverse(self) -> ExactMatrix:
         return self.sigma.inverse()
 
+    @cached_property
+    def _epsilon_sq(self) -> tuple[int, int]:
+        """(p^2, q^2) for epsilon = p / q, squared once per certificate."""
+        return self.epsilon.numerator ** 2, self.epsilon.denominator ** 2
+
     def apply_sigma(self, v: Sequence) -> tuple[int, ...]:
         return _integral_image(self.sigma, v, "sigma")
 
@@ -274,12 +279,17 @@ class ReductionCertificate:
         """
         e, u = vec_integer_form(v)
         y, d = self.sigma.mul_vec_scaled(u)
-        if any(x % (d * e) for x in y):
+        de = d * e
+        if de != 1 and any(x % de for x in y):
             raise ValueError(f"sigma({tuple(v)}) is not an integer vector")
         dt = d * self.T
-        p, q = self.epsilon.numerator, self.epsilon.denominator
-        err = sum((a - dt * b) ** 2 for a, b in zip(y, u))
-        return q * q * err <= p * p * dt * dt * sum(x * x for x in u)
+        err = norm = 0
+        for a, b in zip(y, u):
+            a -= dt * b
+            err += a * a
+            norm += b * b
+        p2, q2 = self._epsilon_sq
+        return q2 * err <= p2 * dt * dt * norm
 
     def to_json(self) -> str:
         payload = {

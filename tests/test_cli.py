@@ -1,10 +1,12 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latdft import acceptance, intlat, sysnf
+from latdft import acceptance, cli, intlat, sysnf
 from latdft.cli import main
 from latdft.sysnf import ReductionCertificate
 
@@ -72,6 +74,62 @@ class TestReduce:
         assert main(["reduce", "--input", str(files / "reducible.txt"), "--epsilon", text]) == 1
         err = capsys.readouterr().err
         assert err == f"error: --epsilon must be an exact rational such as 1/16, got {text!r}\n"
+
+
+    def test_printed_bound_holds_on_random_bases(self, tmp_path, capsys):
+        # The printed value, read exactly, must bound the largest relative error
+        # ||sigma(v)/T - v|| / ||v|| over the basis columns, computed in Fractions.
+        rng = random.Random(19)
+        basis_file, out = tmp_path / "b.txt", tmp_path / "c.json"
+        checked = 0
+        while checked < 240:
+            dim = rng.choice([2, 3])
+            rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+            if intlat.determinant(intlat.ExactMatrix(rows)) == 0:
+                continue
+            eps = rng.choice(["1/4", "1/16", "1/256"])
+            basis_file.write_text(f"{dim} {dim}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+            assert main(["reduce", "--input", str(basis_file), "--epsilon", eps, "--out", str(out)]) == 0
+            line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("max relative")]
+            printed = Fraction(line[0].split("<= ")[1].split()[0])
+            cert = ReductionCertificate.from_json(out.read_text())
+            worst = 0
+            for v in zip(*rows):
+                w = [Fraction(x, cert.T) for x in cert.apply_sigma(v)]
+                worst = max(worst, intlat.norm_sq(intlat.vec_sub(w, v)) / intlat.norm_sq(v))
+            assert printed * printed >= worst, (rows, eps, line[0])
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            # The true maximum is 1/64 = 0.015625 exactly, so it rounds up.
+            ("1 2\n3 4\n", "1.563e-02"),
+            ("2 1\n0 1\n", "1.105e-02"),
+        ],
+    )
+    def test_printed_bound_rounds_up(self, tmp_path, capsys, rows, text):
+        (tmp_path / "b.txt").write_text("2 2\n" + rows)
+        args = ["reduce", "--input", str(tmp_path / "b.txt"), "--epsilon", "1/16", "--out", str(tmp_path / "c.json")]
+        assert main(args) == 0
+        want = f"max relative error over basis vectors <= {text} (epsilon = 1/16)"
+        assert want in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (Fraction(1), "1.000e+00"),
+        (Fraction(1, 64), "1.563e-02"),
+        (Fraction(1, 3), "3.334e-01"),
+        (Fraction(99991, 10**4), "1.000e+01"),
+        (Fraction(12345), "1.235e+04"),
+        (Fraction(1234, 10**103), "1.234e-100"),
+    ],
+)
+def test_ceil_sci_rounds_up_at_four_digits(x, text):
+    assert cli._ceil_sci(x) == text
+    assert Fraction(text) >= x
 
 
 class TestDft:

@@ -9,7 +9,10 @@ references below are the Fraction matrix product, the Fraction Gauss-Jordan
 elimination, the rational Gram-Schmidt, the LLL that recomputes it after
 every swap, the nearest plane that rounds Fraction projections on its
 vectors and the oracles that read its mu and squared norms; every property
-asserts exact equality, types included, against them.  Derandomized.
+asserts exact equality, types included, against them.  ``mul_vec``, and so
+the points of ``nearest_plane`` and ``cvp_exact``, return Python ints when
+the common denominator of the matrix and the vector is 1, so those references
+are typed the same way.  Derandomized.
 """
 
 import math
@@ -123,6 +126,22 @@ def ref_mul_vec(m: ExactMatrix, v) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, vf)) for row in m.rows())
 
 
+def as_mul_vec_types(m: ExactMatrix, v, w) -> tuple:
+    """The Fraction reference w for m @ v, typed as ``mul_vec`` returns it.
+
+    Python ints when every entry of m and v is an integer, so that their
+    common denominator D e is 1; Fractions otherwise.
+    """
+    entries = [x for row in m.rows() for x in row] + [Fraction(x) for x in v]
+    if all(x.denominator == 1 for x in entries):
+        return tuple(int(x) for x in w)
+    return w
+
+
+def ref_typed_mul_vec(m: ExactMatrix, v) -> tuple:
+    return as_mul_vec_types(m, v, ref_mul_vec(m, v))
+
+
 def ref_inverse(m: ExactMatrix) -> ExactMatrix:
     """Gauss-Jordan elimination over Fraction."""
     if not m.is_square:
@@ -201,6 +220,11 @@ def ref_nearest_plane(b: ExactMatrix, u) -> tuple:
         c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
         rem = vec_sub(rem, vec_scale(b.column(j), c))
     return vec_sub(as_fraction_vec(u), rem)
+
+
+def ref_typed_nearest_plane(b: ExactMatrix, u) -> tuple:
+    """ref_nearest_plane typed as ``nearest_plane`` returns it: b @ c for integer coefficients c."""
+    return as_mul_vec_types(b, (), ref_nearest_plane(b, u))
 
 
 def ref_planes(b: ExactMatrix) -> list:
@@ -345,7 +369,7 @@ def test_solve_mul_vec_membership_and_coefficients_match(m, data):
     for v in vecs:
         x = ref_mul_vec(inv, v)
         assert same(m.solve(v), x)
-        assert same(m.mul_vec(v), ref_mul_vec(m, v))
+        assert same(m.mul_vec(v), ref_typed_mul_vec(m, v))
         on_lattice = all(c.denominator == 1 for c in x)
         assert membership(m, v) is on_lattice
         if on_lattice:
@@ -417,7 +441,7 @@ def test_vec_integer_form_mul_vec_and_solve_on_every_input_type(m, data):
         v = data.draw(vectors_of(n))
         e, w = vec_integer_form(v)
         assert same((e, tuple(w)), ref_vec_integer_form(v))
-        assert same(m.mul_vec(v), ref_mul_vec(m, plain(v)))
+        assert same(m.mul_vec(v), ref_typed_mul_vec(m, plain(v)))
         if ref_determinant(m) != 0:
             assert same(m.solve(v), ref_mul_vec(ref_inverse(m), plain(v)))
 
@@ -573,7 +597,7 @@ def basis_and_targets(draw, bound=6):
 def test_nearest_plane_matches_fraction_reference(bt):
     b, targets = bt
     for u in targets:
-        assert same(outcome(nearest_plane, b, u), outcome(ref_nearest_plane, b, u))
+        assert same(outcome(nearest_plane, b, u), outcome(ref_typed_nearest_plane, b, u))
 
 
 @PROPS
@@ -581,7 +605,7 @@ def test_nearest_plane_matches_fraction_reference(bt):
 def test_nearest_plane_matches_reference_on_skewed_bases(b, data):
     # Unreduced bases with large entries give large coefficients and deep updates.
     for u in data.draw(st.lists(targets_of(b.nrows), min_size=1, max_size=4)):
-        assert same(nearest_plane(b, u), ref_nearest_plane(b, u))
+        assert same(nearest_plane(b, u), ref_typed_nearest_plane(b, u))
 
 
 @pytest.mark.parametrize(
@@ -606,7 +630,7 @@ def test_nearest_plane_rounds_half_to_even(rows, target, point):
     b = ExactMatrix(rows)
     u = as_fraction_vec(target)
     got = nearest_plane(b, u)
-    assert same(got, ref_nearest_plane(b, u))
+    assert same(got, ref_typed_nearest_plane(b, u))
     assert got == as_fraction_vec(point)
 
 
@@ -795,3 +819,52 @@ def test_certificate_checks_match_fraction_reference(cv):
             tight = replace(cert, epsilon=eps)
             assert tight.relative_error_holds(v) is ref_relative_error_holds(tight, v)
         assert replace(cert, epsilon=above).relative_error_holds(v)
+
+
+# -- integer results on integer input ------------------------------------------------
+
+
+@PROPS
+@given(shapes, entry_kinds, st.data())
+def test_mul_vec_returns_ints_exactly_at_unit_denominator(shape, kind, data):
+    r, k, _ = shape
+    m = data.draw(rect(r, k, kind))
+    for _ in range(4):
+        v = data.draw(vectors_of(k))
+        got = m.mul_vec(v)
+        want = ref_mul_vec(m, plain(v))
+        unit = math.lcm(*(x.denominator for row in m.rows() for x in row)) * ref_vec_integer_form(v)[0] == 1
+        assert {type(x) for x in got} == {int if unit else Fraction}
+        assert got == want
+
+
+def test_mul_vec_keeps_fractions_for_integral_values_at_larger_denominator():
+    got = ExactMatrix([[Fraction(1, 2), 0], [0, 1]]).mul_vec((2, 3))
+    assert same(got, (Fraction(1), Fraction(3)))
+    assert same(ExactMatrix([[2, 1], [0, 1]]).mul_vec((Fraction(1), Fraction(2))), (4, 2))
+
+
+@PROPS
+@given(nonsingular_integer(lo=1, hi=3, bound=9), st.data())
+def test_babai_and_cvp_points_are_ints_on_integer_bases(b, data):
+    red = lll_reduce(b)
+    n = b.nrows
+    for u in data.draw(st.lists(targets_of(n), min_size=1, max_size=3)) + [[3] * n]:
+        babai, best = nearest_plane(red, u), cvp_exact(red, u).point
+        assert all(type(x) is int for x in babai + best)
+        assert babai == ref_nearest_plane(red, u)
+
+
+@PROPS
+@given(certificate_and_vectors())
+def test_certificate_maps_agree_on_int_and_fraction_vectors(cv):
+    cert, vectors = cv
+    bprime = cert.basis.to_matrix()
+    integral = [v for v in vectors if all(Fraction(x).denominator == 1 for x in v)]
+    # One entry too many: the dimension check must fire on both types.
+    integral.append(tuple(integral[0]) + (1,))
+    for v in integral:
+        ints = tuple(int(x) for x in v)
+        fracs = as_fraction_vec(v)
+        for f in (cert.apply_sigma, cert.relative_error_holds, lambda w: membership(bprime, w)):
+            assert same(outcome(f, ints), outcome(f, fracs))

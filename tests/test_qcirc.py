@@ -320,7 +320,10 @@ class TestCompressedPath:
     )
     def test_working_set(self, s):
         # Outputs of 2 MB and more: the output plus slab-sized temporaries and
-        # FFT scratch, with no room for an |L_N|-sized index (half the output).
+        # the FFT scratch that numpy traces, with no room for an |L_N|-sized
+        # index (half the output).  The bound counts traced numpy memory only:
+        # pocketfft's own scratch, a Bluestein buffer of >= 2N - 1 points for a
+        # prime N, is not seen.
         vec = np.ones(s.N ** (s.n - 1), dtype=complex)
         assert vec.nbytes >= 2 * 10**6
         peak = _peak_bytes(lambda: lattice_qft_values(s, vec))
