@@ -6,9 +6,9 @@ Basis states off L_N pass through the composite circuit unchanged.
 
 :func:`lattice_qft_values` is the compressed path on the L_N subspace alone:
 shear and uncompute as one slab-wise gather through the inverse shear, then
-one in-place FFT.  Of the memory numpy reports to tracemalloc, it uses one
-complex |L_N| array plus slab-sized temporaries; the FFT's own scratch is
-not in that count (see :func:`lattice_qft_values`).
+one in-place FFT.  It holds one complex |L_N| array plus slab-sized
+temporaries, and at n = 2 with N of a large prime factor a chirp-z buffer
+and plan whose sizes follow from N (see :func:`lattice_qft_values`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .sysnf import SysNFBasis, grid_size, ln_first, ln_size
 SUPPORT_TOL = 1e-12
 # Output points per slab of the inverse-shear gather: about 128 KiB of int64 index.
 _SLAB = 2**14
+# Bytes of chirp-z plans kept between calls, least recently used evicted first.
+_PLAN_BYTES = 2**25
+_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # in order of last use
 
 
 @dataclass(frozen=True)
@@ -244,21 +247,122 @@ def unshear_slabs(s: SysNFBasis) -> Iterator[tuple[int, np.ndarray]]:
             np.minimum(c, scratch, out=c)
 
 
+def _pass_cost(n: int) -> tuple[float, int]:
+    """pocketfft's cost estimate of a length-n FFT by direct passes, and n's largest prime factor.
+
+    Per point, a pass of radix 4 or 2 costs 2, of radix 3 or 5 its radix and
+    of a larger prime p 1.1 p (pocketfft's ``cost_guess``).
+    """
+    cost, rest, largest = 0.0, n, 1
+    while rest % 4 == 0:
+        cost, rest, largest = cost + 2, rest // 4, 2
+    p = 2
+    while p * p <= rest:
+        while rest % p == 0:
+            cost, rest, largest = cost + (p if p <= 5 else 1.1 * p), rest // p, p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        cost, largest = cost + (rest if rest <= 5 else 1.1 * rest), rest
+    return cost * n, largest
+
+
+def _chirp_length(N: int) -> int:
+    """Padded length L of the chirp-z transform of length N, or 0 where direct passes pay.
+
+    L is the smallest 2^a 3^b 5^c >= 2N - 1.  The test is the one pocketfft
+    makes before it builds a Bluestein plan: N >= 50, a prime factor above
+    sqrt(N), and direct passes that cost more than two length-L FFTs times
+    its fudge factor 1.5.
+    """
+    direct, largest = _pass_cost(N)
+    if N < 50 or largest * largest <= N:
+        return 0
+    target = 2 * N - 1
+    length = 1 << (target - 1).bit_length()
+    f5 = 1
+    while f5 < length:
+        f35 = f5
+        while f35 < length:
+            x = f35
+            while x < target:
+                x *= 2
+            length = min(length, x)
+            f35 *= 3
+        f5 *= 5
+    return length if 3 * _pass_cost(length)[0] < direct else 0
+
+
+def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only chirp w_k = exp(-i pi k^2 / N) and the FFT of the padded conjugate chirp over L.
+
+    Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
+    recently used evicted first; a plan above the budget serves one call.
+    """
+    plan = _plans.pop(N, None)
+    if plan is None:
+        # k^2 mod 2N gives the same phase; k^2 < N^2 is exact in int64
+        # because N = |L_N| <= BOX_GUARD (checked by the caller).
+        k = np.arange(N, dtype=np.int64)
+        k *= k
+        k %= 2 * N
+        w = np.empty(N, dtype=complex)
+        np.multiply(k, -np.pi / N, out=w.real)
+        del k
+        np.sin(w.real, out=w.imag)
+        np.cos(w.real, out=w.real)
+        # conj(w) at lags 0..N-1 and, wrapped to the end, at lags -(N-1)..-1.
+        kernel = np.zeros(L, dtype=complex)
+        np.conjugate(w, out=kernel[:N])
+        np.conjugate(w[:0:-1], out=kernel[L - N + 1 :])
+        np.fft.fft(kernel, out=kernel)
+        kernel /= L  # the inverse FFT of each call is left unscaled
+        w.flags.writeable = kernel.flags.writeable = False
+        plan = w, kernel
+    if plan[0].nbytes + plan[1].nbytes <= _PLAN_BYTES:
+        _plans[N] = plan
+        while sum(a.nbytes for kept in _plans.values() for a in kept) > _PLAN_BYTES:
+            del _plans[next(iter(_plans))]
+    return plan
+
+
+def _fft_in_place(grid: np.ndarray) -> None:
+    """Unnormalised DFT of ``grid`` over all its axes, written into ``grid``.
+
+    One axis of length N with ``_chirp_length(N) = L > 0`` goes through
+    Bluestein's chirp-z (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)),
+    one cyclic convolution by two length-L FFTs in one padded buffer.  Every
+    other grid goes to ``np.fft.fftn``.
+    """
+    L = _chirp_length(len(grid)) if grid.ndim == 1 else 0
+    if not L:
+        np.fft.fftn(grid, out=grid)
+        return
+    w, kernel = _chirp_plan(len(grid), L)
+    buf = np.zeros(L, dtype=complex)
+    np.multiply(grid, w, out=buf[: len(grid)])
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    np.fft.ifft(buf, norm="forward", out=buf)
+    np.multiply(buf[: len(grid)], w, out=grid)
+
+
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     """Circuit action restricted to the L_N subspace, in compressed form.
 
     Input and output are length-|L_N| arrays in the canonical point order
     (lexicographic tails).  Equivalent to simulate_sysnf_qft on the embedded
     state.  Shear and uncompute become one gather through the inverse shear
-    (:func:`unshear_slabs`), then one in-place FFT follows.  The numpy memory
-    that tracemalloc sees is one complex |L_N| array (the output) plus
-    slab-sized temporaries, which is what the sampler requires for the large
-    moduli produced by basis reduction.  numpy's pocketfft scratch is outside
-    that count: for a prime N it is a Bluestein buffer of at least 2N - 1
-    points plus its plan.  Under numpy 2.4 one in-place FFT grew a fresh
-    process's peak RSS by about 16 MB at the prime N = 130,817 (2.1 MB
-    output), 5 MB at N = 131,072 and 123 MB at the prime N = 1,000,003 (16 MB
-    output).  No size guard covers that scratch.
+    (:func:`unshear_slabs`), then one in-place FFT follows.  Its memory is
+    one complex |L_N| array (the output) plus slab-sized temporaries, which
+    is what the sampler requires for the large moduli produced by basis
+    reduction.  At n = 2 with a large prime factor in N, the transform is
+    the chirp-z of :func:`_fft_in_place` and adds a complex buffer of L
+    points and a plan of N + L points, L < 4N being the smallest
+    2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` (32 MiB) in all
+    stay cached between calls.  As N = |L_N| there, the |L_N| guard bounds
+    that scratch and fires before any of it is allocated.  Every other
+    transform runs in ``np.fft.fftn``, whose scratch is a few rows of N
+    points (for a prime N at n >= 3, pocketfft's Bluestein plan of about 2N).
     """
     m = ln_size(s)
     if values.shape != (m,):
@@ -271,8 +375,7 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
         # The index lies in range(m) by construction; mode "raise" would stage
         # every slab in a copy of its output before writing it.
         np.take(values, index, out=out[lo : lo + len(index)], mode="clip")
-    grid = out.reshape((s.N,) * (s.n - 1))
-    np.fft.fftn(grid, out=grid)
+    _fft_in_place(out.reshape((s.N,) * (s.n - 1)))
     out /= np.sqrt(m)
     return out
 

@@ -437,13 +437,12 @@ def _shear_index_reference(s: SysNFBasis) -> np.ndarray:
     return index.reshape(-1)
 
 
-def _scatter_qft_reference(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
-    """Scatter through the full shear index, then the in-place FFT lattice_qft_values runs."""
+def _scatter_qft_reference(s: SysNFBasis, values: np.ndarray, fft=qcirc._fft_in_place) -> np.ndarray:
+    """Scatter through the full shear index, then ``fft`` in place, by default the one lattice_qft_values runs."""
     m = s.N ** (s.n - 1)
     out = np.zeros(m, dtype=complex)
     out[_shear_index_reference(s)] = values
-    grid = out.reshape((s.N,) * (s.n - 1))
-    np.fft.fftn(grid, out=grid)
+    fft(out.reshape((s.N,) * (s.n - 1)))
     out /= np.sqrt(m)
     return out
 
@@ -504,6 +503,28 @@ def test_unshear_slab_edges(monkeypatch, s, slab):
 def test_unshear_slab_edges_at_module_slab(s, count, last):
     slabs = _check_gather(s, _shear_index_reference(s), 0)
     assert len(slabs) == count and len(slabs[-1]) == last
+
+
+@pytest.mark.parametrize(
+    "s, chirp",
+    [
+        (SysNFBasis(1026, (2,)), False),  # 2 * 3^3 * 19: direct passes
+        (SysNFBasis(131072, (2,)), False),  # 2^17
+        (SysNFBasis(40009, (123,)), True),  # prime
+        (SysNFBasis(130817, (5,)), True),  # prime, the acceptance instance's N
+    ],
+)
+def test_one_axis_fft_against_numpy(s, chirp):
+    # Both sides of the chirp-z selection against np.fft: bit for bit where
+    # np.fft runs, to 1e-12 relative where the chirp-z transform runs.
+    assert (qcirc._chirp_length(s.N) > 0) == chirp
+    v = np.random.default_rng(s.N).normal(size=2 * s.N).view(complex)
+    out = lattice_qft_values(s, v)
+    ref = _scatter_qft_reference(s, v, fft=lambda grid: np.fft.fft(grid, out=grid))
+    if chirp:
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    else:
+        assert out.tobytes() == ref.tobytes()
 
 
 @PROPS

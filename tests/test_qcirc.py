@@ -314,20 +314,80 @@ class TestCompressedPath:
         monkeypatch.setattr(intlat, "BOX_GUARD", s.N**2 - 1)
         peak = _peak_bytes(lambda: pytest.raises(SizeGuardError, lattice_qft_values, s, vec))
         assert peak < s.N**2
+        # At n = 2 and a chirp-z modulus it also fires before the plan and the buffer.
+        s = SysNFBasis(130817, (5,))
+        assert qcirc._chirp_length(s.N)
+        vec = np.ones(s.N, dtype=complex)
+        monkeypatch.setattr(qcirc, "_plans", {})
+        monkeypatch.setattr(intlat, "BOX_GUARD", s.N - 1)
+        peak = _peak_bytes(lambda: pytest.raises(SizeGuardError, lattice_qft_values, s, vec))
+        assert peak < s.N and not qcirc._plans
 
     @pytest.mark.parametrize(
         "s", [SysNFBasis(130817, (5,)), SysNFBasis(1021, (3, 7)), SysNFBasis(67, (2, 3, 5))]
     )
-    def test_working_set(self, s):
+    def test_working_set(self, monkeypatch, s):
         # Outputs of 2 MB and more: the output plus slab-sized temporaries and
         # the FFT scratch that numpy traces, with no room for an |L_N|-sized
-        # index (half the output).  The bound counts traced numpy memory only:
-        # pocketfft's own scratch, a Bluestein buffer of >= 2N - 1 points for a
-        # prime N, is not seen.
+        # index (half the output).  The one-axis chirp-z transform adds its
+        # padded buffer of L complex points, and its plan of N + L points on a
+        # call that builds it.  pocketfft's own scratch for the smooth lengths
+        # it is left with is not traced.
         vec = np.ones(s.N ** (s.n - 1), dtype=complex)
         assert vec.nbytes >= 2 * 10**6
-        peak = _peak_bytes(lambda: lattice_qft_values(s, vec))
-        assert peak <= vec.nbytes + 2**20
+        L = qcirc._chirp_length(s.N) if s.n == 2 else 0
+        assert (L > 0) == (s.n == 2)
+        buffer = 16 * L
+        plan = 16 * (s.N + L) if L else 0
+        monkeypatch.setattr(qcirc, "_plans", {})
+        cold = _peak_bytes(lambda: lattice_qft_values(s, vec))
+        warm = _peak_bytes(lambda: lattice_qft_values(s, vec))
+        assert cold <= vec.nbytes + buffer + plan + 2**20
+        assert warm <= vec.nbytes + buffer + 2**20
+
+
+def _plan_bytes(N: int) -> int:
+    return 16 * (N + qcirc._chirp_length(N))
+
+
+class TestChirpPlans:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(qcirc, "_plans", {})
+
+    @staticmethod
+    def transform(N: int) -> np.ndarray:
+        s = SysNFBasis(N, (2,))
+        assert qcirc._chirp_length(N) and s.is_valid
+        return lattice_qft_values(s, np.random.default_rng(N).normal(size=2 * N).view(complex))
+
+    def test_hit_and_miss_agree_bitwise(self):
+        miss = self.transform(1999)
+        plan = qcirc._plans[1999]
+        hit = self.transform(1999)
+        assert qcirc._plans[1999] is plan
+        qcirc._plans.clear()
+        assert miss.tobytes() == hit.tobytes() == self.transform(1999).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        self.transform(1999)
+        for array in qcirc._plans[1999]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_least_recently_used_evicted_and_oversized_not_kept(self, monkeypatch):
+        monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(127) + _plan_bytes(211) - 1)
+        self.transform(97)
+        self.transform(127)
+        self.transform(97)
+        assert list(qcirc._plans) == [127, 97]
+        self.transform(211)
+        assert list(qcirc._plans) == [97, 211]
+        # A plan above the budget serves its call and evicts nothing.
+        monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(211))
+        assert _plan_bytes(1999) > qcirc._PLAN_BYTES
+        self.transform(1999)
+        assert list(qcirc._plans) == [97, 211]
 
 
 class TestSnapshots:
