@@ -28,15 +28,13 @@ from .dft import LatticeFunction
 from .errors import ConditionError
 from .intlat import (
     ExactMatrix,
-    as_fraction_vec,
     cvp_exact,
     determinant,
     lambda1_sq,
     lll_reduce,
     membership,
     nearest_plane,
-    norm_sq,
-    vec_sub,
+    vec_integer_form,
 )
 from .qcirc import dense_deviation
 from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
@@ -269,10 +267,11 @@ def criterion_9_nearest_plane_bound() -> CriterionResult:
                     continue
                 red = lll_reduce(m)
                 u = tuple(Fraction(rng.randint(-160, 160), 8) for _ in range(dim))
-                v = nearest_plane(red, u)
-                err_sq = norm_sq(vec_sub(as_fraction_vec(u), v))
+                v = nearest_plane(red, u)  # ints, as red is an integer basis
+                e, w = vec_integer_form(u)
+                err_sq = sum((x - e * y) ** 2 for x, y in zip(w, v))  # e^2 ||u - v||^2
                 best = cvp_exact(red, u)
-                if err_sq > (2**dim) * best.dist_sq:
+                if err_sq > (2**dim) * e * e * best.dist_sq:
                     violations += 1
                 done += 1
         return violations == 0, f"200 instances, {violations} violations of the 2^(n/2) bound"

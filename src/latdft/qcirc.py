@@ -296,7 +296,7 @@ def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only chirp w_k = exp(-i pi k^2 / N) and the FFT of the padded conjugate chirp over L.
 
     Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
-    recently used evicted first; a plan above the budget serves one call.
+    recently used evicted first.  The caller asks only for plans that fit.
     """
     plan = _plans.pop(N, None)
     if plan is None:
@@ -318,23 +318,24 @@ def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
         kernel /= L  # the inverse FFT of each call is left unscaled
         w.flags.writeable = kernel.flags.writeable = False
         plan = w, kernel
-    if plan[0].nbytes + plan[1].nbytes <= _PLAN_BYTES:
-        _plans[N] = plan
-        while sum(a.nbytes for kept in _plans.values() for a in kept) > _PLAN_BYTES:
-            del _plans[next(iter(_plans))]
+    _plans[N] = plan
+    while sum(a.nbytes for kept in _plans.values() for a in kept) > _PLAN_BYTES:
+        del _plans[next(iter(_plans))]
     return plan
 
 
 def _fft_in_place(grid: np.ndarray) -> None:
     """Unnormalised DFT of ``grid`` over all its axes, written into ``grid``.
 
-    One axis of length N with ``_chirp_length(N) = L > 0`` goes through
-    Bluestein's chirp-z (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)),
-    one cyclic convolution by two length-L FFTs in one padded buffer.  Every
-    other grid goes to ``np.fft.fftn``.
+    One axis of length N with ``_chirp_length(N) = L > 0`` and a plan of
+    16 (N + L) bytes within ``_PLAN_BYTES`` goes through Bluestein's chirp-z
+    (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)), one cyclic
+    convolution by two length-L FFTs in one padded buffer.  Every other grid
+    goes to ``np.fft.fftn``: a plan that cannot be kept would be rebuilt on
+    every call, at more cost than numpy's own Bluestein.
     """
     L = _chirp_length(len(grid)) if grid.ndim == 1 else 0
-    if not L:
+    if not L or 16 * (len(grid) + L) > _PLAN_BYTES:
         np.fft.fftn(grid, out=grid)
         return
     w, kernel = _chirp_plan(len(grid), L)
@@ -355,11 +356,12 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     (:func:`unshear_slabs`), then one in-place FFT follows.  Its memory is
     one complex |L_N| array (the output) plus slab-sized temporaries, which
     is what the sampler requires for the large moduli produced by basis
-    reduction.  At n = 2 with a large prime factor in N, the transform is
-    the chirp-z of :func:`_fft_in_place` and adds a complex buffer of L
-    points and a plan of N + L points, L < 4N being the smallest
-    2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` (32 MiB) in all
-    stay cached between calls.  As N = |L_N| there, the |L_N| guard bounds
+    reduction.  At n = 2 with a large prime factor in N and a plan that fits
+    ``_PLAN_BYTES`` (32 MiB, N up to about 697,000), the transform is the
+    chirp-z of :func:`_fft_in_place` and adds a complex buffer of L points
+    and a plan of N + L points, L < 4N being the smallest
+    2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` in all stay
+    cached between calls.  As N = |L_N| there, the |L_N| guard bounds
     that scratch and fires before any of it is allocated.  Every other
     transform runs in ``np.fft.fftn``, whose scratch is a few rows of N
     points (for a prime N at n >= 3, pocketfft's Bluestein plan of about 2N).

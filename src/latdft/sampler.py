@@ -85,6 +85,8 @@ class DiscreteDistribution:
             raise ValueError("points/probs length mismatch")
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be pairwise distinct")
+        if not np.isfinite(self.probs).all():
+            raise ValueError("non-finite probability")
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
@@ -93,6 +95,8 @@ class DiscreteDistribution:
     @classmethod
     def from_weights(cls, points: Sequence[tuple[int, ...]], weights: np.ndarray) -> "DiscreteDistribution":
         weights = np.asarray(weights, dtype=float)
+        if not np.isfinite(weights).all():
+            raise ValueError("non-finite weight")
         total = weights.sum()
         if total <= 0:
             raise ZeroMassError("empty or zero-mass support")

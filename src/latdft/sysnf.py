@@ -328,9 +328,10 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     sub-diagonal (entries are held as integers scaled by T); (3) integer column
     operations clear rows 2..n right of the sub-diagonal; (4) scan
     delta = 1, 2, ... until the would-be modulus is coprime to the validity
-    sum; (5) move the last column to the front and reduce the first row,
-    giving the SysNF matrix; (6) assemble sigma as one exact rational matrix
-    transporting coefficient vectors through every step.
+    sum; (5) the SysNF basis has that modulus and the other first-row
+    entries reduced mod it, and sigma = T I + Delta H^-1, with Delta the
+    perturbation E + s delta e1 e_n^T (E the sub-diagonal ones, s the sign
+    of the cleared last column).
 
     T starts at ceil(n * |det| / epsilon) and doubles until a global operator
     bound (which makes the certificate hold for *every* lattice vector) and
@@ -350,18 +351,18 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
     h, _ = hnf(b)  # raises RankError on singular input
     h_rows = h.integer_form()[1]
     det_abs = math.prod(row[i] for i, row in enumerate(h_rows))
-    # The error of any v equals Delta @ c(v) with c = H^-1 v and Delta the
-    # per-column perturbation (1/T on the sub-diagonal of columns 1..n-1,
-    # delta/T on column n), so sup ||err|| / ||v|| <= (sum_{i<n} r_i + delta r_n) / T
+    # The error sigma(v)/T - v of any v is Delta c(v) / T with c = H^-1 v and
+    # Delta the perturbation (ones on the sub-diagonal, +-delta at (1, n)), so
+    # sup ||err|| / ||v|| <= (sum_{i<n} r_i + delta r_n) / T
     # with r_i >= ||row_i(H^-1)||.  H^-1 = rows / d_inv.
-    d_inv, inv_rows = h.inverse().integer_form()
+    d_inv, inv_rows = h_inv = h.inverse().integer_form()
     r = [sqrt_upper_bound(Fraction(sum(x * x for x in row), d_inv * d_inv)) for row in inv_rows]
     r_head, r_last = sum(r[:-1]), r[-1]
     columns = list(zip(*b.integer_form()[1]))
 
     t = max(1, math.ceil(Fraction(b.nrows) * det_abs / epsilon))
     while True:
-        cert = _reduce_with_scale(h_rows, t, epsilon)
+        cert = _reduce_with_scale(h_rows, h_inv, t, epsilon)
         if (r_head + cert.delta * r_last) / t <= epsilon and all(
             map(cert.relative_error_holds, columns)
         ):
@@ -371,33 +372,28 @@ def reduce_to_sysnf(b: ExactMatrix, epsilon: Fraction) -> ReductionCertificate:
             raise SearchExhaustedError(f"scale doubling exceeded cap {SCALE_CAP}")
 
 
-def _reduce_with_scale(h_rows: list[list[int]], t: int, epsilon: Fraction) -> ReductionCertificate:
-    """The candidate certificate at fixed scale t for the HNF rows h_rows, unverified."""
+def _reduce_with_scale(
+    h_rows: list[list[int]], h_inv: tuple[int, list[list[int]]], t: int, epsilon: Fraction
+) -> ReductionCertificate:
+    """The candidate certificate at fixed scale t for H = h_rows, unverified; h_inv = (d, d H^-1)."""
     n = len(h_rows)
 
-    # Columns of H, and of the scaled working matrix t*B2: t*H (upper
-    # triangular) plus 1 on the sub-diagonal.  Every column operation below
-    # acts on both, so hp1 ends as H P1.
-    hp1 = [list(col) for col in zip(*h_rows)]
-    cols = [[x * t + (i == j + 1) for i, x in enumerate(col)] for j, col in enumerate(hp1)]
-
-    # Clear row i (i >= 1, 0-indexed) at columns i..n-1 using column i-1,
-    # whose only nonzero in that row is the sub-diagonal 1.
+    # Columns of the scaled working matrix t*B2: t*H (upper triangular) plus
+    # 1 on the sub-diagonal.  Clear row i (i >= 1, 0-indexed) at columns
+    # i..n-1 using column i-1, whose only nonzero in that row is the
+    # sub-diagonal 1.
+    cols = [[x * t + (i == j + 1) for i, x in enumerate(col)] for j, col in enumerate(zip(*h_rows))]
     for i in range(1, n):
         for j in range(i, n):
             q = cols[j][i]
             if q:
                 cols[j] = [x - q * y for x, y in zip(cols[j], cols[i - 1])]
-                hp1[j] = [x - q * y for x, y in zip(hp1[j], hp1[i - 1])]
 
     # cols now realize t*B3: first row (t*b''_{1,1}, ..., t*b''_{1,n}),
     # sub-diagonal 1s, zeros elsewhere.  Column n-1 is (t*b''_{1,n}, 0, ..., 0);
-    # negate it if needed so the future modulus is positive.  The flip is
-    # applied to hp1 too, which therefore holds the full column transform.
-    if cols[n - 1][0] < 0:
-        cols[n - 1] = [-x for x in cols[n - 1]]
-        hp1[n - 1] = [-x for x in hp1[n - 1]]
-    modulus_base = cols[n - 1][0]
+    # the modulus is its absolute value, and s its sign.
+    sign = -1 if cols[n - 1][0] < 0 else 1
+    modulus_base = sign * cols[n - 1][0]
     if modulus_base == 0:
         raise RuntimeError("unexpected zero modulus for a full-rank basis")
 
@@ -408,20 +404,16 @@ def _reduce_with_scale(h_rows: list[list[int]], t: int, epsilon: Fraction) -> Re
             break
     else:
         raise SearchExhaustedError(f"no coprime modulus offset within {DELTA_SEARCH_CAP} candidates")
-    modulus = modulus_base + delta
+    basis = SysNFBasis(modulus_base + delta, tuple(raw_b))
 
-    # Assemble the SysNF basis: modulus first, then the other first-row
-    # entries reduced mod the modulus (each reduction is a column operation).
-    reduction_q = [x // modulus for x in raw_b]
-    basis = SysNFBasis(modulus, tuple(x % modulus for x in raw_b))
-
-    # Coefficient transport: sigma sends the vector with coefficients c in
-    # M = H P1 R P3 (P1 including the sign flip) to the SysNF vector with
-    # coefficients c.  B U1 = H spans the input lattice, so sigma is
-    # S M^-1 = S adj(M) / det(M), with S the SysNF matrix.
-    # R moves the last column of H P1 to the front; P3 then subtracts
-    # reduction_q[j] copies of that column from column j+1.
-    last = hp1[n - 1]
-    m_cols = [last] + [[x - q * y for x, y in zip(c, last)] for c, q in zip(hp1, reduction_q)]
-    sigma = basis.to_matrix() @ ExactMatrix.from_columns(m_cols).inverse()
-    return ReductionCertificate(basis, sigma, t, delta, epsilon)
+    # sigma = S M^-1, with S the SysNF matrix and M = H P1 R P3 the input
+    # basis it corresponds to column for column (P1: the clearing, then the
+    # sign s on column n; R: last column to the front; P3: the first-row
+    # reduction mod N).  That is t B2 H^-1 + delta e1 e_n^T P1^-1 H^-1, and
+    # the clearing only adds earlier columns to later ones, so
+    # e_n^T P1^-1 = s e_n^T: sigma = t I + Delta H^-1.
+    d, inv_rows = h_inv
+    rows = [[sign * delta * x for x in inv_rows[-1]], *map(list, inv_rows[:-1])]
+    for i, row in enumerate(rows):
+        row[i] += t * d
+    return ReductionCertificate(basis, ExactMatrix._from_integer_form(d, rows), t, delta, epsilon)

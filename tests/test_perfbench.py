@@ -1,13 +1,16 @@
-"""One checked pass of the benchmark's lattice-algebra and transform workloads.
+"""One checked pass of the benchmark's lattice-algebra and transform workloads,
+and one traced pass of sample-coarse.
 
 The benchmark checks every operation of its first pass against independent
 references (brute-force enumeration, Hermite forms, exact certificate
 checks, exact-phase character sums and Fourier oracles).  Running that pass
 here makes a kernel break a test failure rather than only a failed operation
-in a benchmark run.
+in a benchmark run.  The traced pass (``--trace 1``) wraps latdft functions
+by name, so a rename there shows up here as a missing layer.
 """
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -47,3 +50,22 @@ def test_transform_pass_has_no_failures(monkeypatch):
     runner.run_pass()
     assert (len(ops), runner.attempted) == (11, 9)
     assert runner.failures == []
+
+
+def test_traced_pass_reports_the_declared_layers(monkeypatch):
+    run, workloads = _workloads(monkeypatch)
+    runner = run.Runner(workloads.WORKLOADS["sample-coarse"](1))
+    tracer = importlib.import_module("spans").Tracer()
+    runner.run_pass()
+    tracer.install()
+    try:
+        runner.run_pass(tracer)
+    finally:
+        tracer.uninstall()
+    assert runner.failures == []
+    layers = tracer.summarize(0)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(layers) == sorted(m["name"] for m in declared if m["name"] != "trace.overhead_s")
+    # The sampler's reductions are seen, and so is their note on cert.T.
+    assert layers["sampler.sample.calls"] == layers["sysnf.reduce_to_sysnf.calls"] > 0
+    assert 0 < layers["sysnf.reduce_to_sysnf.useful_ratio"] <= 1

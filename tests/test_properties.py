@@ -642,6 +642,16 @@ def test_reduction_certificate_holds_on_random_bases(b, eps, coeffs):
 
 
 @PROPS
+@given(integer_basis(), st.sampled_from([Fraction(1, 2), Fraction(1, 16), Fraction(1, 256)]))
+def test_sigma_maps_the_input_lattice_onto_the_sysnf_lattice(b, eps):
+    # sigma B integral puts sigma L(B) inside L(B'); equal HNFs make it all of L(B').
+    cert = reduce_to_sysnf(b, eps)
+    image = cert.sigma @ b
+    assert image.is_integer()
+    assert hnf(image)[0] == cert.basis.to_matrix()
+
+
+@PROPS
 @given(sysnf_basis().filter(lambda s: s.is_valid), st.data())
 def test_phi3_is_a_bijection_onto_the_scaled_dual(s, data):
     # (a, 0, ..., 0) for a in Z_N is one representative of each coset of L_N.

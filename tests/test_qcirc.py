@@ -383,11 +383,16 @@ class TestChirpPlans:
         assert list(qcirc._plans) == [127, 97]
         self.transform(211)
         assert list(qcirc._plans) == [97, 211]
-        # A plan above the budget serves its call and evicts nothing.
+        # A length whose plan exceeds the budget goes to np.fft, bit for bit,
+        # and neither builds a plan nor evicts one.
         monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(211))
         assert _plan_bytes(1999) > qcirc._PLAN_BYTES
-        self.transform(1999)
-        assert list(qcirc._plans) == [97, 211]
+        kept = dict(qcirc._plans)
+        oversized = self.transform(1999)
+        assert qcirc._plans == kept and all(qcirc._plans[N] is kept[N] for N in kept)
+        monkeypatch.setattr(qcirc, "_chirp_length", lambda N: 0)
+        values = np.random.default_rng(1999).normal(size=2 * 1999).view(complex)
+        assert oversized.tobytes() == lattice_qft_values(SysNFBasis(1999, (2,)), values).tobytes()
 
 
 class TestSnapshots:

@@ -111,6 +111,21 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(((0,),), np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails no comparison, so the sum check alone let these through.
+        with pytest.raises(ValueError, match="non-finite probability"):
+            DiscreteDistribution(((0, 0), (1, 0)), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite weight"):
+            DiscreteDistribution.from_weights([(0, 0), (1, 0)], [1.0, bad])
+
+    def test_brute_force_target_rejects_nan_density(self):
+        def f(p):
+            return math.nan if p == (1, 0) else 1.0
+
+        with pytest.raises(ValueError, match="non-finite weight"):
+            brute_force_target(f, ExactMatrix.identity(2), 2.0)
+
 
 class TestSample:
     def test_constant_spectrum_concentrates_at_origin(self):
