@@ -56,10 +56,6 @@ from .errors import MembershipError, RankError, SizeGuardError
 Vec = tuple[Fraction, ...]
 
 
-def as_fraction_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
 
@@ -316,15 +312,8 @@ def _ratio(x) -> tuple[int, int]:
 
 # -- text format -------------------------------------------------------------
 #
-# Shared file format: first line "rows cols", then one line per row with
-# entries separated by single spaces; rationals rendered "p/q".
-
-
-def format_matrix_text(m: ExactMatrix) -> str:
-    lines = [f"{m.nrows} {m.ncols}"]
-    for i in range(m.nrows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"
+# The matrix file format: first line "rows cols", then one line per row with
+# entries separated by whitespace; rationals written "p/q".
 
 
 def parse_matrix_text(text: str) -> ExactMatrix:
@@ -472,23 +461,19 @@ def coefficients_in_basis(b: ExactMatrix, v: Sequence) -> tuple[int, ...]:
 # -- LLL ----------------------------------------------------------------------
 
 
-def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
+def lll_reduce(b: ExactMatrix) -> ExactMatrix:
     """LLL reduction of an integer column basis in exact integer arithmetic.
 
     The output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with the given delta.  The Gram-Schmidt
+    satisfies the Lovasz condition with delta = 3/4.  The Gram-Schmidt
     data is held integrally (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
     columns and lam[i][j] = d[j+1] mu_ij, updated in place on each swap.
     """
     _require_square_integer(b, "lll_reduce")
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError("delta must lie in (1/4, 1]")
     n = b.ncols
     cols = [list(col) for col in zip(*b.integer_form()[1])]
     d, lam = _integral_gram(cols)
-    p, q = delta.numerator, delta.denominator
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -498,9 +483,9 @@ def lll_reduce(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> ExactMatrix:
                 for t in range(j):
                     lam[k][t] -= c * lam[j][t]
                 lam[k][j] -= c * d[j + 1]
-        # ||b*_k||^2 >= (delta - mu^2) ||b*_{k-1}||^2, times q d[k] d[k-1].
+        # ||b*_k||^2 >= (3/4 - mu^2) ||b*_{k-1}||^2, times 4 d[k] d[k-1].
         m = lam[k][k - 1]
-        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
+        if 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] * d[k]:
             k += 1
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
@@ -565,19 +550,15 @@ def is_size_reduced(b: ExactMatrix) -> bool:
     return all(2 * abs(lam[i][j]) <= d[j + 1] for i in range(b.ncols) for j in range(i))
 
 
-def satisfies_lovasz(b: ExactMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
-    """||b*_k||^2 >= (delta - mu_k,k-1^2) ||b*_k-1||^2 for every k, in integers.
+def satisfies_lovasz(b: ExactMatrix) -> bool:
+    """||b*_k||^2 >= (3/4 - mu_k,k-1^2) ||b*_k-1||^2 for every k, in integers.
 
-    With delta = p / q this is the test :func:`lll_reduce` makes, q (d[k+1]
-    d[k-1] + lam_k,k-1^2) >= p d[k]^2, on the integer form D b; the
-    condition is invariant under scaling the basis.
+    This is the test :func:`lll_reduce` makes, 4 (d[k+1] d[k-1] +
+    lam_k,k-1^2) >= 3 d[k]^2, on the integer form D b; the condition is
+    invariant under scaling the basis.
     """
-    delta = Fraction(delta)
-    p, q = delta.numerator, delta.denominator
     d, lam = _integral_gram(list(zip(*b.integer_form()[1])))
-    return all(
-        q * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= p * d[k] ** 2 for k in range(1, b.ncols)
-    )
+    return all(4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 3 * d[k] ** 2 for k in range(1, b.ncols))
 
 
 # -- Babai nearest plane ---------------------------------------------------------

@@ -43,9 +43,6 @@ class Statevector:
         if self.amps.shape != (self.N**self.n,):
             raise ValueError(f"expected {self.N ** self.n} amplitudes")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def grid(self) -> np.ndarray:
         return self.amps.reshape((self.N,) * self.n)
 
@@ -54,9 +51,6 @@ class Statevector:
         for c in coords:
             idx = idx * self.N + (int(c) % self.N)
         return idx
-
-    def amplitude(self, coords) -> complex:
-        return complex(self.amps[self.index_of(coords)])
 
 
 def basis_state(N: int, n: int, coords) -> Statevector:

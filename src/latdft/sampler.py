@@ -114,10 +114,10 @@ def brute_force_target(
     Enumeration oracle: the coefficient box is derived from the rows of the
     basis inverse, so every lattice point inside the ball is visited.
     """
-    origin = (0,) * b.ncols
-    coeffs = box_points(b, origin, box_radius)
     if not b.is_integer():
         raise ParameterError("target enumeration expects an integer basis")
+    origin = (0,) * b.ncols
+    coeffs = box_points(b, origin, box_radius)
     pts, _ = scaled_offsets(b, coeffs, origin)
     keep = (pts.astype(float) ** 2).sum(axis=1) <= float(box_radius) ** 2 + 1e-12
     pts = pts[keep]
@@ -143,8 +143,11 @@ def pac_distance(
     Each observed point relocates its mass to the nearest target support
     point within ``match_radius`` (exact hits first); the total-variation
     distance of the relocated distribution from the target is returned along
-    with the largest displacement used.
+    with the largest displacement used.  The radius must be finite and
+    non-negative.
     """
+    if not 0 <= match_radius < math.inf:
+        raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
     tgt = target.as_dict()
     tgt_pts = np.array(target.points, dtype=np.int64)
     relocated: dict[tuple[int, ...], float] = {}

@@ -95,10 +95,6 @@ class SysNFBasis:
             rows.append([int(j == i) for j in range(n)])
         return ExactMatrix(rows)
 
-    def first_coordinate(self, tail: Sequence[int]) -> int:
-        """The x_1 forced by membership for the tail (x_2, ..., x_n)."""
-        return sum(bj * xj for bj, xj in zip(self.b, tail)) % self.N
-
 
 def validate(m: ExactMatrix) -> SysNFBasis:
     """Accept a matrix iff it has the SysNF shape and passes the gcd condition.

@@ -3,39 +3,11 @@ one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 
 import pytest
 
-from latdft.acceptance import (
-    criterion_1_unitarity,
-    criterion_2_circuit_equivalence,
-    criterion_3_negative_control,
-    criterion_4_cardinalities,
-    criterion_5_phi3_bijection,
-    criterion_6_shift_phase,
-    criterion_7_fourth_power,
-    criterion_8_reduction_contract,
-    criterion_9_nearest_plane_bound,
-    criterion_10_sampler_pac,
-    criterion_11_restriction_identity,
-    criterion_12_smoothness,
-)
-
-CRITERIA = [
-    criterion_1_unitarity,
-    criterion_2_circuit_equivalence,
-    criterion_3_negative_control,
-    criterion_4_cardinalities,
-    criterion_5_phi3_bijection,
-    criterion_6_shift_phase,
-    criterion_7_fourth_power,
-    criterion_8_reduction_contract,
-    criterion_9_nearest_plane_bound,
-    criterion_10_sampler_pac,
-    criterion_11_restriction_identity,
-    criterion_12_smoothness,
-]
+from latdft.acceptance import ALL_CRITERIA
 
 
-@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda c: c.check.__name__)
 def test_criterion(criterion):
-    result = criterion()
+    result = criterion.run()
     print(result.line())
     assert result.passed, result.line()

@@ -377,15 +377,15 @@ class TestSelftest:
         summary = json.loads((tmp_path / "selftest_summary.json").read_text())
         assert set(summary) == {"config_hash", "seed", "criteria", "all_passed"}
         assert summary["seed"] == acceptance.SEED and summary["all_passed"] is True
-        assert [c["number"] for c in summary["criteria"]] == list(range(1, 13))
+        table = [(c.number, c.name) for c in acceptance.ALL_CRITERIA]
+        assert [(c["number"], c["name"]) for c in summary["criteria"]] == table
+        assert [number for number, _ in table] == list(range(1, 13))
         for c in summary["criteria"]:
             assert set(c) == {"number", "name", "passed", "details", "seconds"}
         assert "summary written to" in capsys.readouterr().out
 
     def test_failed_criterion_exit_three(self, tmp_path, monkeypatch):
-        def failing():
-            return acceptance._timed(1, "forced failure", lambda: (False, "forced"))
-
+        failing = acceptance.Criterion(1, "forced failure", lambda: (False, "forced"))
         monkeypatch.setattr(acceptance, "ALL_CRITERIA", [failing])
         assert main(["selftest", "--out", str(tmp_path)]) == 3
         summary = json.loads((tmp_path / "selftest_summary.json").read_text())

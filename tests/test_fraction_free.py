@@ -31,7 +31,6 @@ from latdft import intlat
 from latdft.errors import MembershipError, RankError, SizeGuardError
 from latdft.intlat import (
     ExactMatrix,
-    as_fraction_vec,
     box_points,
     brute_force_cvp,
     coefficients_in_basis,
@@ -86,7 +85,7 @@ def gram_schmidt(b: ExactMatrix) -> GramSchmidtData:
     mus = []
     for i, v in enumerate(cols):
         row = []
-        w = as_fraction_vec(v)
+        w = v
         for j in range(i):
             m_ij = dot(v, ortho[j]) / norm_sq(ortho[j])
             row.append(m_ij)
@@ -103,11 +102,11 @@ def ref_is_size_reduced(b: ExactMatrix) -> bool:
     return all(abs(gs.mu[i][j]) <= Fraction(1, 2) for i in range(b.ncols) for j in range(i))
 
 
-def ref_satisfies_lovasz(b: ExactMatrix, delta=Fraction(3, 4)) -> bool:
+def ref_satisfies_lovasz(b: ExactMatrix) -> bool:
     gs = gram_schmidt(b)
     for k in range(1, b.ncols):
         lhs = norm_sq(gs.orthogonal[k])
-        rhs = (Fraction(delta) - gs.mu[k][k - 1] ** 2) * norm_sq(gs.orthogonal[k - 1])
+        rhs = (Fraction(3, 4) - gs.mu[k][k - 1] ** 2) * norm_sq(gs.orthogonal[k - 1])
         if lhs < rhs:
             return False
     return True
@@ -183,9 +182,8 @@ def ref_determinant(m: ExactMatrix):
     return int(det) if det.denominator == 1 else det
 
 
-def ref_lll(b: ExactMatrix, delta=Fraction(3, 4)) -> ExactMatrix:
-    """LLL with rational Gram-Schmidt recomputed after every swap."""
-    delta = Fraction(delta)
+def ref_lll(b: ExactMatrix) -> ExactMatrix:
+    """LLL at delta = 3/4 with rational Gram-Schmidt recomputed after every swap."""
     n = b.ncols
     cols = [list(map(int, b.column(j))) for j in range(n)]
 
@@ -203,7 +201,7 @@ def ref_lll(b: ExactMatrix, delta=Fraction(3, 4)) -> ExactMatrix:
                 for t in range(j):
                     mu[k][t] -= q * mu[j][t]
                 mu[k][j] -= q
-        if norm_sq(ortho[k]) >= (delta - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
+        if norm_sq(ortho[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
             k += 1
         else:
             cols[k], cols[k - 1] = cols[k - 1], cols[k]
@@ -215,11 +213,11 @@ def ref_lll(b: ExactMatrix, delta=Fraction(3, 4)) -> ExactMatrix:
 def ref_nearest_plane(b: ExactMatrix, u) -> tuple:
     """Babai's nearest plane on rational Gram-Schmidt vectors, rounding Fractions."""
     gs = gram_schmidt(b)
-    rem = as_fraction_vec(u)
+    rem = tuple(map(Fraction, u))
     for j in range(b.ncols - 1, -1, -1):
         c = round(dot(rem, gs.orthogonal[j]) / norm_sq(gs.orthogonal[j]))
         rem = vec_sub(rem, vec_scale(b.column(j), c))
-    return vec_sub(as_fraction_vec(u), rem)
+    return vec_sub(u, rem)
 
 
 def ref_typed_nearest_plane(b: ExactMatrix, u) -> tuple:
@@ -531,22 +529,19 @@ def test_numpy_integer_entries_do_not_wrap_past_int64():
 
 # -- LLL -------------------------------------------------------------------------------
 
-deltas = st.sampled_from([Fraction(3, 4), Fraction(99, 100), Fraction(1), Fraction(1, 3)])
-
-
 @PROPS
-@given(nonsingular_integer(), deltas)
-def test_lll_matches_recompute_on_swap_reference(b, delta):
-    got = lll_reduce(b, delta)
-    assert got == ref_lll(b, delta)
+@given(nonsingular_integer())
+def test_lll_matches_recompute_on_swap_reference(b):
+    got = lll_reduce(b)
+    assert got == ref_lll(b)
     assert got.is_integer()
 
 
 @PROPS
-@given(nonsingular_integer(lo=2, hi=3, bound=40), deltas)
-def test_lll_matches_reference_on_skewed_bases(b, delta):
+@given(nonsingular_integer(lo=2, hi=3, bound=40))
+def test_lll_matches_reference_on_skewed_bases(b):
     # Larger entries mean more swaps and deeper integral updates.
-    assert lll_reduce(b, delta) == ref_lll(b, delta)
+    assert lll_reduce(b) == ref_lll(b)
 
 
 @pytest.mark.parametrize(
@@ -628,10 +623,10 @@ def test_nearest_plane_matches_reference_on_skewed_bases(b, data):
 )
 def test_nearest_plane_rounds_half_to_even(rows, target, point):
     b = ExactMatrix(rows)
-    u = as_fraction_vec(target)
+    u = tuple(map(Fraction, target))
     got = nearest_plane(b, u)
     assert same(got, ref_typed_nearest_plane(b, u))
-    assert got == as_fraction_vec(point)
+    assert got == tuple(map(Fraction, point))
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[1, 0], [0, 0]], [[1, 0, 1], [0, 1, 1]]])
@@ -693,7 +688,7 @@ class TestGramSchmidt:
             for i in range(3):
                 for j in range(i):
                     assert sum(a * c for a, c in zip(gs.orthogonal[i], gs.orthogonal[j])) == 0
-                assert gs.reconstruct_column(i) == as_fraction_vec(b.column(i))
+                assert gs.reconstruct_column(i) == b.column(i)
             checked += 1
 
     def test_dependent_columns(self):
@@ -724,11 +719,9 @@ def test_box_points_bounds_match_fraction_formula(bt, data):
 
 # -- size-reduction and Lovasz oracles ---------------------------------------------------
 
-DELTAS = [Fraction(1, 3), Fraction(3, 4), Fraction(99, 100), Fraction(1)]
-
 oracle_bases = st.one_of(
     nonsingular_integer(lo=1, hi=4, bound=9),
-    st.tuples(nonsingular_integer(lo=1, hi=4, bound=9), deltas).map(lambda bd: lll_reduce(*bd)),
+    nonsingular_integer(lo=1, hi=4, bound=9).map(lll_reduce),
     # Integer or rational, square or with one more row, dependent columns included.
     basis_and_targets().map(lambda bt: bt[0]),
 )
@@ -738,8 +731,7 @@ oracle_bases = st.one_of(
 @given(oracle_bases)
 def test_reduction_oracles_match_fraction_reference(b):
     assert same(outcome(is_size_reduced, b), outcome(ref_is_size_reduced, b))
-    for delta in DELTAS:
-        assert same(outcome(satisfies_lovasz, b, delta), outcome(ref_satisfies_lovasz, b, delta))
+    assert same(outcome(satisfies_lovasz, b), outcome(ref_satisfies_lovasz, b))
 
 
 @pytest.mark.parametrize(
@@ -756,27 +748,28 @@ def test_reduction_oracles_match_fraction_reference(b):
     ],
 )
 def test_size_reduced_boundary(cols, reduced):
-    b = ExactMatrix.from_columns([as_fraction_vec(c) for c in cols])
+    b = ExactMatrix.from_columns(cols)
     assert is_size_reduced(b) is reduced
     assert ref_is_size_reduced(b) is reduced
 
 
 @pytest.mark.parametrize(
-    "cols, delta, holds",
+    "cols, holds",
     [
-        # In two columns the condition is ||b_1||^2 >= delta ||b_0||^2: equality holds.
-        ([(5, 0), (3, 4)], Fraction(1), True),
-        ([(3, 4), (5, 0)], Fraction(1), True),
-        ([("5/2", 0), ("3/2", 2)], Fraction(1), True),
-        ([(5, 0), (4, 2)], Fraction(1), False),
-        ([(2, 0, 0), (1, 1, 1)], Fraction(3, 4), True),
-        ([(2, 0, 0), (1, 1, 0)], Fraction(3, 4), False),
+        # ||b*_1||^2 >= (3/4 - mu^2) ||b_0||^2 at mu = 1/2 is ||b*_1||^2 >= ||b_0||^2 / 2: equality holds.
+        ([(2, 0, 0), (1, 1, 1)], True),
+        ([(2, 0, 0), (1, 1, 0)], False),
+        ([(4, 0, 0), (2, 2, 2)], True),
+        ([(4, 0, 0), (2, 2, 1)], False),
+        ([(1, 0, 0), ("1/2", "1/2", "1/2")], True),
+        # The second pair fails: mu_21 = 1/2 and ||b*_2||^2 = 1 < 2 = ||b*_1||^2 / 2.
+        ([(1, 0, 0), (0, 2, 0), (0, 1, 1)], False),
     ],
 )
-def test_lovasz_boundary(cols, delta, holds):
-    b = ExactMatrix.from_columns([as_fraction_vec(c) for c in cols])
-    assert satisfies_lovasz(b, delta) is holds
-    assert ref_satisfies_lovasz(b, delta) is holds
+def test_lovasz_boundary(cols, holds):
+    b = ExactMatrix.from_columns(cols)
+    assert satisfies_lovasz(b) is holds
+    assert ref_satisfies_lovasz(b) is holds
 
 
 # -- reduction certificate ---------------------------------------------------------------
@@ -865,6 +858,6 @@ def test_certificate_maps_agree_on_int_and_fraction_vectors(cv):
     integral.append(tuple(integral[0]) + (1,))
     for v in integral:
         ints = tuple(int(x) for x in v)
-        fracs = as_fraction_vec(v)
+        fracs = tuple(map(Fraction, v))
         for f in (cert.apply_sigma, cert.relative_error_holds, lambda w: membership(bprime, w)):
             assert same(outcome(f, ints), outcome(f, fracs))

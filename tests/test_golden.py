@@ -6,11 +6,15 @@ shared; the ``decode_mismatch_rate`` entries were recorded from the
 sampler that checked closest tags against a growing set of short dual
 vectors, before the Voronoi-cell test; the ``reduction`` entries were
 recorded from the reduction that rebuilt H^-1 and its row-norm bounds at
-every scale, before they were computed once per call.  These tests make
+every scale, before they were computed once per call.  ``golden_sample/``
+holds the artefacts of ``latdft sample`` on the README's example config at
+100 shots, recorded before the acceptance battery became one table.  These tests make
 "bit-identical for fixed seeds" a checked property: support points and draws
 must match exactly, probabilities to 1e-15, mismatch rates exactly, the exact
-CVP / first-minimum values must be equal as rationals, and reduction
-certificates must serialize to the same bytes.
+CVP / first-minimum values must be equal as rationals, reduction
+certificates must serialize to the same bytes, and ``samples.csv`` must
+match byte for byte, with the report's integers, flags and hash exact and its
+floats to 1e-12.
 """
 
 import json
@@ -22,11 +26,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latdft.cli import main
 from latdft.intlat import ExactMatrix, cvp_exact, lambda1_sq
 from latdft.sampler import QESSpec, brute_force_target, gaussian_spec, sample
 from latdft.sysnf import reduce_to_sysnf
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+GOLDEN_SAMPLE = Path(__file__).parent / "golden_sample"
 
 
 def _matrix(rows):
@@ -84,3 +90,22 @@ def test_reduction_certificate(case):
     # The sampler's reductions, one T doubling (I_2 at 1/2), n = 3 and 4, and delta = 4.
     cert = reduce_to_sysnf(ExactMatrix(case["basis"]), Fraction(case["epsilon"]))
     assert cert.to_json() == case["certificate"]
+
+
+def test_cli_sample_artefacts(tmp_path, monkeypatch):
+    # The README's example config at 100 shots, as the CI smoke step runs it.
+    monkeypatch.chdir(tmp_path)
+    Path("basis.txt").write_text("2 2\n2 1\n0 1\n")
+    config = {"basis": "basis.txt", "spec": {"kind": "gaussian", "s": 16.0}, "epsilon": "1/16", "shots": 100, "seed": 31}
+    Path("config.json").write_text(json.dumps(config))
+    assert main(["sample", "--config", "config.json", "--out", "out"]) == 0
+    assert Path("out/samples.csv").read_bytes() == (GOLDEN_SAMPLE / "samples.csv").read_bytes()
+    got = json.loads(Path("out/sample_report.json").read_text())
+    want = json.loads((GOLDEN_SAMPLE / "sample_report.json").read_text())
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-12, key
+        else:
+            assert got[key] == value, key

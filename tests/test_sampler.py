@@ -77,6 +77,12 @@ class TestBruteForceTarget:
         with pytest.raises(ZeroMassError):
             brute_force_target(target_gaussian(5.0), ExactMatrix.identity(2), -1.0)
 
+    def test_rational_basis_rejected_before_enumeration(self):
+        # The box at this radius would hold about 8e10 vectors, past the size guard.
+        half = ExactMatrix([[Fraction(1, 2), 0], [0, 1]])
+        with pytest.raises(ParameterError, match="integer basis"):
+            brute_force_target(target_gaussian(5.0), half, 1e5)
+
 
 class TestPacDistance:
     def test_identical(self):
@@ -100,6 +106,14 @@ class TestPacDistance:
         tgt = DiscreteDistribution(((0, 0),), np.array([1.0]))
         tv, _ = pac_distance(obs, tgt, match_radius=1.0)
         assert abs(tv - 0.4) < 1e-15
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        # -1.0 would act as 1.0 once squared; NaN and inf cannot become a Fraction.
+        obs = DiscreteDistribution(((0, 0),), np.array([1.0]))
+        tgt = DiscreteDistribution(((1, 0),), np.array([1.0]))
+        with pytest.raises(ParameterError, match="match radius"):
+            pac_distance(obs, tgt, match_radius=radius)
 
 
 class TestDiscreteDistribution:
