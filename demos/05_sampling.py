@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latdft import ExactMatrix, brute_force_target, gaussian_spec, pac_distance, sample
+from latdft import ExactMatrix, sample_gaussian
 from latdft.intlat import lambda1_sq
 
 b = ExactMatrix([[2, 1], [0, 1]])
@@ -20,22 +20,14 @@ lam1 = math.sqrt(float(lambda1_sq(b)))
 s_target = 2 ** (n / 2 + 2) * math.sqrt(n) * lam1
 print(f"lambda_1(L) = {lam1:.4f}, target gaussian width s = {s_target:.1f}")
 
-# The oracle passed to the sampler is the transform of the target: for a
-# width-s gaussian density, that is a gaussian amplitude of width 1/(2s).
-spec = gaussian_spec(1 / (2 * s_target), grid_radius=6 / (2 * s_target))
-
-result = sample(spec, b, epsilon=Fraction(1, 16), shots=20_000, seed=20260810)
+# sample_gaussian hands the sampler the transform of the target: for a
+# width-s gaussian density, a gaussian amplitude of width 1/(2s).  It then
+# scores the exact output against brute-force enumeration of the target.
+result, tv, disp = sample_gaussian(b, s_target, Fraction(1, 16), shots=20_000, seed=20260810)
 print(f"reduced modulus N = {result.certificate.basis.N}, scale T = {result.certificate.T}")
 print(f"grid points prepared: {result.grid_points}")
 print(f"decode mismatch rate: {result.decode_mismatch_rate}")
 print(f"distribution support: {len(result.distribution.points)} lattice points")
-
-target = brute_force_target(
-    lambda p: math.exp(-math.pi * sum(c * c for c in p) / (2 * s_target**2)),
-    b,
-    box_radius=6 * s_target,
-)
-tv, disp = pac_distance(result.distribution, target, match_radius=1 / 16)
 print(f"total variation vs brute-force target: {tv:.5f} (displacement {disp})")
 
 # Empirical check: the seeded draws track the exact distribution.

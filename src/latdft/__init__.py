@@ -58,6 +58,7 @@ from .sampler import (
     gaussian_spec,
     pac_distance,
     sample,
+    sample_gaussian,
 )
 
 __version__ = "0.1.0"

@@ -36,13 +36,14 @@ from .intlat import (
     cvp_exact,
     determinant,
     lambda1_sq,
+    lex_box,
     lll_reduce,
     membership,
     nearest_plane,
     vec_integer_form,
 )
 from .qcirc import dense_deviation
-from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
+from .sampler import sample_gaussian
 from .sysnf import (
     SysNFBasis,
     enumerate_scaled_dual,
@@ -121,18 +122,13 @@ def criterion_3_negative_control() -> tuple[bool, str]:
     return dev >= 0.5, f"rejected with gcd 2; forced transform deviates by {dev:.3f}"
 
 
-def _residue_grid(s: SysNFBasis) -> np.ndarray:
-    """All N^n points of Z_N^n as an (N^n, n) int64 array."""
-    return np.indices((s.N,) * s.n, dtype=np.int64).reshape(s.n, -1).T
-
-
 def criterion_4_cardinalities() -> tuple[bool, str]:
     extra = [SysNFBasis(101, (5,)), SysNFBasis(31, (3, 7))]
     for s in _validated_instances() + extra:
         if s.N**s.n > 10**6:
             continue
         want = s.N ** (s.n - 1)
-        grid = _residue_grid(s)
+        grid = lex_box([(0, s.N - 1)] * s.n)
         count = int(ln_membership(s, grid).sum())
         dual_count = int(scaled_dual_membership(s, grid).sum())
         if count != want:
@@ -150,7 +146,7 @@ def criterion_4_cardinalities() -> tuple[bool, str]:
 def criterion_5_phi3_bijection() -> tuple[bool, str]:
     cases = [SysNFBasis(5, (1,)), SysNFBasis(9, (2,)), SysNFBasis(5, (1, 2))]
     for s in cases:
-        x = _residue_grid(s)
+        x = lex_box([(0, s.N - 1)] * s.n)
         y = phi3(s, x)
         if not ln_membership(s, x + y).all():
             return False, f"x + phi3(x) escapes L_N at N={s.N}"
@@ -247,20 +243,10 @@ def criterion_9_nearest_plane_bound() -> tuple[bool, str]:
 def criterion_10_sampler_pac() -> tuple[bool, str]:
     b = ExactMatrix([[2, 1], [0, 1]])
     n = 2
-    lam1 = float(lambda1_sq(b)) ** 0.5
-    s_target = 2 ** (n / 2 + 2) * n**0.5 * lam1
-    s_f = 1.0 / (2.0 * s_target)
-    spec = gaussian_spec(s_f, grid_radius=6 * s_f)
-    eps = Fraction(1, 16)
+    s_target = 2 ** (n / 2 + 2) * n**0.5 * float(lambda1_sq(b)) ** 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = sample(spec, b, eps, shots=0, seed=SEED)
-    target = brute_force_target(
-        lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),
-        b,
-        box_radius=6 * s_target,
-    )
-    tv, disp = pac_distance(res.distribution, target, match_radius=float(eps))
+        res, tv, disp = sample_gaussian(b, s_target, Fraction(1, 16), shots=0, seed=SEED)
     ok = (
         tv <= 0.05
         and res.decode_mismatch_rate == 0.0

@@ -159,9 +159,7 @@ def cmd_qft_sim(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    import numpy as np
-
-    from .sampler import brute_force_target, gaussian_spec, pac_distance, sample
+    from .sampler import sample_gaussian
 
     try:
         config = json.loads(Path(args.config).read_text())
@@ -172,20 +170,14 @@ def cmd_sample(args) -> int:
         seed = _config_int(config, "seed")
         if spec_cfg.get("kind") != "gaussian":
             raise ValueError(f"unsupported spec kind {spec_cfg.get('kind')!r}")
+        extra = sorted(set(spec_cfg) - {"kind", "s"})
+        if extra:
+            raise ValueError(f"unknown spec keys {extra}; a spec takes kind and s only")
         s_target = float(spec_cfg["s"])
-        s_f = 1.0 / (2.0 * s_target)
-        grid_radius = float(spec_cfg.get("grid_radius", 6.0 * s_f))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"bad config: {exc}") from exc
 
-    spec = gaussian_spec(s_f, grid_radius=grid_radius)
-    result = sample(spec, m, epsilon, shots=shots, seed=seed)
-    target = brute_force_target(
-        lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s_target**2)),
-        m,
-        box_radius=6.0 * s_target,
-    )
-    tv, disp = pac_distance(result.distribution, target, match_radius=float(epsilon))
+    result, tv, disp = sample_gaussian(m, s_target, epsilon, shots=shots, seed=seed)
 
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -54,6 +54,8 @@ class Statevector:
 
 
 def basis_state(N: int, n: int, coords) -> Statevector:
+    if len(coords) != n:
+        raise ValueError(f"basis state needs {n} coordinates, got {len(coords)}")
     amps = np.zeros(grid_size(N, n), dtype=complex)
     sv = Statevector(N, n, amps)
     amps[sv.index_of(coords)] = 1.0
@@ -345,22 +347,24 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     """Circuit action restricted to the L_N subspace, in compressed form.
 
     Input and output are length-|L_N| arrays in the canonical point order
-    (lexicographic tails).  Equivalent to simulate_sysnf_qft on the embedded
-    state.  Shear and uncompute become one gather through the inverse shear
-    (:func:`unshear_slabs`), then one in-place FFT follows.  Its memory is
-    one complex |L_N| array (the output) plus slab-sized temporaries, which
-    is what the sampler requires for the large moduli produced by basis
-    reduction.  At n = 2 with a large prime factor in N and a plan that fits
-    ``_PLAN_BYTES`` (32 MiB, N up to about 697,000), the transform is the
-    chirp-z of :func:`_fft_in_place` and adds a complex buffer of L points
-    and a plan of N + L points, L < 4N being the smallest
-    2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` in all stay
-    cached between calls.  As N = |L_N| there, the |L_N| guard bounds
+    (lexicographic tails); any numeric input dtype is taken, and one other
+    than complex128 costs one complex |L_N| copy.  Equivalent to
+    simulate_sysnf_qft on the embedded state.  Shear and uncompute become one
+    gather through the inverse shear (:func:`unshear_slabs`), then one
+    in-place FFT follows.  Its memory is one complex |L_N| array (the output)
+    plus slab-sized temporaries, which is what the sampler requires for the
+    large moduli produced by basis reduction.  At n = 2 with a large prime
+    factor in N and a plan that fits ``_PLAN_BYTES`` (32 MiB, N up to about
+    697,000), the transform is the chirp-z of :func:`_fft_in_place` and adds
+    a complex buffer of L points and a plan of N + L points, L < 4N being the
+    smallest 2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` in all
+    stay cached between calls.  As N = |L_N| there, the |L_N| guard bounds
     that scratch and fires before any of it is allocated.  Every other
     transform runs in ``np.fft.fftn``, whose scratch is a few rows of N
     points (for a prime N at n >= 3, pocketfft's Bluestein plan of about 2N).
     """
     m = ln_size(s)
+    values = np.asarray(values, dtype=complex)
     if values.shape != (m,):
         raise ValueError(f"expected {m} values")
     # The compressed shear is a permutation only when valid; unshear_slabs

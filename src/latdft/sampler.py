@@ -123,13 +123,10 @@ def brute_force_target(
     pts = pts[keep]
     if len(pts) == 0:
         raise ZeroMassError("no lattice points inside the box")
-    weights = np.array([abs(f(tuple(int(c) for c in p))) ** 2 for p in pts], dtype=float)
+    points = tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
+    weights = np.array([abs(f(p)) ** 2 for p in points], dtype=float)
     if weights.sum() == 0:
         raise ZeroMassError("target density vanishes on the box")
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    weights = weights[order]
-    points = tuple(tuple(int(c) for c in p) for p in pts)
     return DiscreteDistribution.from_weights(points, weights)
 
 
@@ -138,44 +135,33 @@ def pac_distance(
     target: DiscreteDistribution,
     match_radius: float,
 ) -> tuple[float, float]:
-    """Greedy support matching within the radius; returns (tv, max displacement).
+    """Support matching within the radius; returns (tv, max displacement).
 
-    Each observed point relocates its mass to the nearest target support
-    point within ``match_radius`` (exact hits first); the total-variation
-    distance of the relocated distribution from the target is returned along
-    with the largest displacement used.  The radius must be finite and
-    non-negative.
+    An observed point off the target's support moves its mass to the nearest
+    target point (the lexicographically smallest of equally near ones) if that
+    lies within ``match_radius``, which must be finite and non-negative, and
+    otherwise stays put; no point's destination depends on another point.
     """
     if not 0 <= match_radius < math.inf:
         raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
     tgt = target.as_dict()
     tgt_pts = np.array(target.points, dtype=np.int64)
-    relocated: dict[tuple[int, ...], float] = {}
     rad_sq = Fraction(match_radius) ** 2
-    max_disp_sq = Fraction(0)
-    order = sorted(range(len(observed.points)), key=lambda i: (-observed.probs[i], observed.points[i]))
-    for i in order:
-        p = observed.points[i]
-        mass = float(observed.probs[i])
-        if p in tgt:
-            relocated[p] = relocated.get(p, 0.0) + mass
-            continue
-        diffs = tgt_pts - np.array(p, dtype=np.int64)
-        d2 = (diffs * diffs).sum(axis=1)
-        j = int(np.argmin(d2))
-        ties = np.flatnonzero(d2 == d2[j])
-        if len(ties) > 1:
-            j = min(ties, key=lambda t: target.points[t])
-        if Fraction(int(d2[j])) <= rad_sq:
-            dest = target.points[j]
-            relocated[dest] = relocated.get(dest, 0.0) + mass
-            max_disp_sq = max(max_disp_sq, Fraction(int(d2[j])))
-        else:
-            relocated[p] = relocated.get(p, 0.0) + mass
+    relocated: dict[tuple[int, ...], float] = {}
+    max_disp_sq = 0
+    for p, mass in zip(observed.points, observed.probs.tolist()):
+        if p not in tgt:
+            diffs = tgt_pts - np.array(p, dtype=np.int64)
+            d2 = (diffs * diffs).sum(axis=1)
+            j = min(np.flatnonzero(d2 == d2.min()).tolist(), key=target.points.__getitem__)
+            if int(d2[j]) <= rad_sq:
+                p = target.points[j]
+                max_disp_sq = max(max_disp_sq, int(d2[j]))
+        relocated[p] = relocated.get(p, 0.0) + mass
     l1 = 0.0
     for p in set(relocated) | set(tgt):
         l1 += abs(relocated.get(p, 0.0) - tgt.get(p, 0.0))
-    return 0.5 * l1, math.sqrt(float(max_disp_sq))
+    return 0.5 * l1, math.sqrt(max_disp_sq)
 
 
 @dataclass(frozen=True)
@@ -352,3 +338,20 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
             "support_points": len(dist.points),
         },
     )
+
+
+def sample_gaussian(b: ExactMatrix, s: float, epsilon, shots: int, seed: int) -> tuple[SampleResult, float, float]:
+    """The Gaussian experiment: sample P(x) ~ exp(-pi ||x||^2 / s^2) on L(b), score it by brute force.
+
+    The oracle is the target's transform, a width-1/(2s) Gaussian on a grid of
+    radius 6/(2s); the target is f(x) = exp(-pi ||x||^2 / (2 s^2)) within
+    radius 6s.  Returns the result and (tv, max displacement) at match radius
+    epsilon.
+    """
+    if not 0 < s < math.inf:
+        raise ParameterError(f"target width must satisfy 0 < s < inf, got {s!r}")
+    s_f = 1 / (2 * s)
+    result = sample(gaussian_spec(s_f, grid_radius=6 * s_f), b, epsilon, shots=shots, seed=seed)
+    target = brute_force_target(lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s**2)), b, 6 * s)
+    tv, disp = pac_distance(result.distribution, target, match_radius=float(Fraction(epsilon)))
+    return result, tv, disp

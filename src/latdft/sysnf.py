@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,7 +49,7 @@ SCALE_CAP = 2**512
 class SysNFBasis:
     """Modulus N plus the first-row tail (b_2, ..., b_n), stored reduced mod N.
 
-    Direct construction performs only shape normalization; use
+    Direct construction checks only integer type and shape; use
     :func:`validate` (or check :attr:`is_valid`) for the full gcd condition.
     That split is deliberate: negative controls need to build the dense DFT
     of a condition-violating basis.
@@ -58,9 +59,14 @@ class SysNFBasis:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if self.N < 1:
+        try:
+            big_n, tail = operator.index(self.N), tuple(map(operator.index, self.b))
+        except TypeError:
+            raise StructureError(f"modulus and tail must be integers, got {self.N!r}, {self.b!r}") from None
+        if big_n < 1:
             raise StructureError("modulus must be a positive integer")
-        object.__setattr__(self, "b", tuple(int(x) % self.N for x in self.b))
+        object.__setattr__(self, "N", big_n)
+        object.__setattr__(self, "b", tuple(x % big_n for x in tail))
 
     @property
     def n(self) -> int:
@@ -302,9 +308,9 @@ class ReductionCertificate:
     @classmethod
     def from_json(cls, text: str) -> "ReductionCertificate":
         d = json.loads(text)
-        basis = SysNFBasis(int(d["N"]), tuple(int(x) for x in d["b"]))
         sigma = ExactMatrix([[Fraction(x) for x in row] for row in d["sigma"]])
-        return cls(basis, sigma, int(d["T"]), int(d["delta"]), Fraction(d["epsilon"]))
+        t, delta = operator.index(d["T"]), operator.index(d["delta"])
+        return cls(SysNFBasis(d["N"], d["b"]), sigma, t, delta, Fraction(d["epsilon"]))
 
 
 def _integral_image(m: ExactMatrix, v: Sequence, name: str) -> tuple[int, ...]:

@@ -356,6 +356,21 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_spec_extra_key_refused(self, files, capsys):
+        # A grid radius of 0.25 sampled fine when the key was read; a spec takes kind and s only.
+        cfg = files / "extra_cfg.json"
+        cfg.write_text(json.dumps({
+            "basis": str(files / "reducible.txt"),
+            "spec": {"kind": "gaussian", "s": 16.0, "grid_radius": 0.25},
+            "epsilon": "1/16",
+            "shots": 10,
+            "seed": 1,
+        }))
+        assert main(["sample", "--config", str(cfg), "--out", str(files / "extra")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "grid_radius" in err
+        assert not (files / "extra").exists()
+
     @pytest.mark.parametrize("text", ["1/0", "abc"])
     def test_unparsable_epsilon_names_key(self, files, capsys, text):
         cfg = files / "eps_cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latdft import intlat, qcirc
-from latdft.dft import dft_matrix
+from latdft.dft import LatticeFunction, apply_dft, dft_matrix
 from latdft.errors import ConditionError, ModulusMismatchError, SizeGuardError, UncomputeError
 from latdft.qcirc import (
     Statevector,
@@ -55,6 +55,12 @@ class TestShear:
         out = step_shear(S5, psi)
         assert out.amps[out.index_of((1, 1))] == 1.0
         assert abs(np.linalg.norm(out.amps) - 1) < 1e-12
+
+    @pytest.mark.parametrize("coords", [(1, 2), (1, 2, 3, 4)])
+    def test_basis_state_needs_n_coordinates(self, coords):
+        # index_of folds any number of coordinates: (1, 2) at n = 3 would be |0,1,2>.
+        with pytest.raises(ValueError, match="needs 3 coordinates"):
+            basis_state(5, 3, coords)
 
     def test_inverse_restores(self):
         rng = np.random.default_rng(1)
@@ -287,6 +293,15 @@ class TestCompressedPath:
         vec = rng.normal(size=cm.order) + 1j * rng.normal(size=cm.order)
         vec /= np.linalg.norm(vec)
         assert np.abs(lattice_qft_values(s, vec) - cm.matrix @ vec).max() < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.complex64])
+    @pytest.mark.parametrize("s", [S5, S75])
+    def test_any_numeric_dtype(self, s, dtype):
+        # The gather writes into a complex128 output, so other inputs are converted first.
+        m = s.N ** (s.n - 1)
+        values = np.random.default_rng(3).integers(-5, 6, size=m).astype(dtype)
+        want = apply_dft(s, LatticeFunction(s, values)).values
+        assert np.abs(lattice_qft_values(s, values) - want).max() < 1e-12
 
     def test_one_register(self):
         # n = 1: L_N is the single point 0 and the transform is the identity.

@@ -16,6 +16,7 @@ from latdft.sampler import (
     gaussian_spec,
     pac_distance,
     sample,
+    sample_gaussian,
 )
 
 B_ACCEPT = ExactMatrix([[2, 1], [0, 1]])
@@ -107,6 +108,31 @@ class TestPacDistance:
         tv, _ = pac_distance(obs, tgt, match_radius=1.0)
         assert abs(tv - 0.4) < 1e-15
 
+    @pytest.mark.parametrize("listed", [((1, 0), (-1, 0)), ((-1, 0), (1, 0))])
+    def test_tie_goes_to_lexicographically_smallest(self, listed):
+        # (0, 0) is at distance 1 from both target points, whichever is listed first.
+        obs = DiscreteDistribution(((0, 0), (1, 0)), np.array([0.5, 0.5]))
+        tgt = DiscreteDistribution(listed, np.array([0.5, 0.5]))
+        tv, disp = pac_distance(obs, tgt, match_radius=1.0)
+        assert tv == 0.0 and disp == 1.0  # (0, 0) went to (-1, 0), (1, 0) stayed
+
+    def test_observed_order_does_not_matter(self):
+        # Each point's destination is its own: shuffling moves tv by rounding only.
+        rng = np.random.default_rng(5)
+        tgt = brute_force_target(target_gaussian(3.0), B_ACCEPT, 8.0)
+        pts = rng.integers(-9, 10, size=(60, 2))
+        pts = np.unique(pts[(pts[:, 0] + pts[:, 1]) % 2 == 0], axis=0)  # lattice points of B_ACCEPT
+        shifted = np.vstack([pts, pts[:20] + (0, 1)])  # off-lattice, relocated within radius 1
+        points = list(map(tuple, np.unique(shifted, axis=0).tolist()))
+        probs = rng.random(len(points))
+        tv, disp = pac_distance(DiscreteDistribution(tuple(points), probs / probs.sum()), tgt, 1.0)
+        assert disp == 1.0
+        for _ in range(5):
+            perm = rng.permutation(len(points))
+            obs = DiscreteDistribution(tuple(points[i] for i in perm), probs[perm] / probs.sum())
+            tv_p, disp_p = pac_distance(obs, tgt, 1.0)
+            assert abs(tv_p - tv) <= 1e-15 and disp_p == disp
+
     @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
     def test_bad_radius_rejected(self, radius):
         # -1.0 would act as 1.0 once squared; NaN and inf cannot become a Fraction.
@@ -114,6 +140,13 @@ class TestPacDistance:
         tgt = DiscreteDistribution(((1, 0),), np.array([1.0]))
         with pytest.raises(ParameterError, match="match radius"):
             pac_distance(obs, tgt, match_radius=radius)
+
+
+class TestSampleGaussian:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_width_rejected(self, s):
+        with pytest.raises(ParameterError, match="target width"):
+            sample_gaussian(B_ACCEPT, s, Fraction(1, 16), shots=0, seed=1)
 
 
 class TestDiscreteDistribution:

@@ -79,6 +79,19 @@ class TestValidate:
         with pytest.raises(StructureError):
             validate(ExactMatrix([[Fraction(5, 2), 0], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "big_n, tail",
+        [(5, (2.7,)), (5, (Fraction(1, 2),)), (5, (np.float64(2.0),)), (5.0, (1,)), (Fraction(5), (1,))],
+    )
+    def test_non_integer_entries_rejected(self, big_n, tail):
+        # int() would silently read (2.7,) as (2,) and (1/2,) as (0,): a different lattice.
+        with pytest.raises(StructureError, match="must be integers"):
+            SysNFBasis(big_n, tail)
+
+    def test_numpy_integers_accepted(self):
+        s = SysNFBasis(np.int64(5), (np.int32(7), np.int64(-1)))
+        assert (s.N, s.b) == (5, (2, 4)) and type(s.N) is int and all(type(x) is int for x in s.b)
+
     def test_tail_reduced_mod_modulus(self):
         s = validate(ExactMatrix([[5, 6], [0, 1]]))
         assert s.b == (1,)
@@ -271,6 +284,18 @@ class TestReduction:
         payload = json.loads(text)
         assert set(payload) == {"n", "N", "b", "T", "delta", "sigma", "epsilon"}
         assert payload["epsilon"] == "1/16"
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [("N", 2.5, StructureError), ("N", "5", StructureError), ("b", [2.5], StructureError),
+         ("T", 2.5, TypeError), ("delta", 1.5, TypeError)],
+    )
+    def test_json_non_integer_rejected(self, key, value, error):
+        # int() truncated each of these: a JSON 2.5 became 2.
+        payload = json.loads(reduce_to_sysnf(ExactMatrix([[3, 1], [1, 2]]), Fraction(1, 16)).to_json())
+        payload[key] = value
+        with pytest.raises(error):
+            ReductionCertificate.from_json(json.dumps(payload))
 
     def test_delta_cap_exhaustion(self, monkeypatch):
         monkeypatch.setattr(sysnf, "DELTA_SEARCH_CAP", 0)
