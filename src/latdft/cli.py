@@ -18,6 +18,7 @@ embed a hash of the effective configuration together with that seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -213,16 +214,7 @@ def cmd_selftest(args) -> int:
     summary = {
         "config_hash": _config_hash(config),
         "seed": SEED,
-        "criteria": [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "details": r.details,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in results
-        ],
+        "criteria": [{**dataclasses.asdict(r), "seconds": round(r.seconds, 3)} for r in results],
         "all_passed": all(r.passed for r in results),
     }
     outdir = Path(args.out or ".")

@@ -658,6 +658,15 @@ def scaled_offsets(b: ExactMatrix, z: np.ndarray, center: Sequence) -> tuple[np.
     return z @ np.array(bd, dtype=np.int64).T - np.array(cd, dtype=np.int64), den
 
 
+def _column_dot(coeffs: Sequence[int], cols: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] cols[k] over the first axis of int64 cols, as a new array; zero terms are skipped."""
+    out = np.zeros(cols.shape[1:], dtype=np.int64)
+    for c, col in zip(coeffs, cols):
+        if c:
+            out += c * col
+    return out
+
+
 def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
@@ -671,8 +680,9 @@ def nearest_plane_rows(b: ExactMatrix, targets: np.ndarray) -> np.ndarray:
     divided by their gcd so that the bounds below are the least possible.
     Every coefficient is p / q_j with p = <rem, a_j>, rounded as ``round``
     rounds a Fraction: p // q_j, plus one when the remainder is above half,
-    or exactly half and the quotient odd.  Raises SizeGuardError unless
-    every intermediate provably fits int64.
+    or exactly half and the quotient odd.  Works per coordinate: the rows are
+    read as n contiguous columns, and the result is stored coordinate-major.
+    Raises SizeGuardError unless every intermediate provably fits int64.
     """
     if not b.is_integer():
         raise ValueError("nearest_plane_rows requires an integer basis")
@@ -698,16 +708,15 @@ def nearest_plane_rows(b: ExactMatrix, targets: np.ndarray) -> np.ndarray:
         bound = max(dot_bound, reach, 2 * q)
         if bound >= _INT64_LIMIT:
             raise SizeGuardError(f"nearest-plane values up to {bound} overflow int64")
-    rem = targets.copy()
-    point = np.zeros_like(rem)
+    rem = targets.T.copy()  # row k: coordinate k of every target, contiguous
     for j in range(b.ncols - 1, -1, -1):
         a, q = planes[j]
-        f, r = np.divmod(rem @ np.array(a, dtype=np.int64), q)
-        c = f + ((2 * r > q) | ((2 * r == q) & (f % 2 == 1)))
-        step = c[:, None] * np.array(cols[j], dtype=np.int64)
-        rem -= step
-        point += step
-    return point
+        f, r = np.divmod(_column_dot(a, rem), q)
+        f += 2 * r + (f & 1) > q  # half to even: up when 2 r > q, or 2 r = q and f is odd
+        for k, x in enumerate(cols[j]):
+            if x:
+                rem[k] -= x * f
+    return np.subtract(targets.T, rem, out=rem).T
 
 
 def integral_rows(m: ExactMatrix, rows: np.ndarray) -> np.ndarray:
@@ -760,12 +769,16 @@ def in_voronoi_cell(relevant: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     With the relevant vectors of :func:`voronoi_relevant` this is the closed
     Voronoi cell: the origin is a closest lattice point to u, ties included.
+    Works per coordinate, on the rows read as n contiguous columns.
     Raises SizeGuardError unless every product provably fits int64.
     """
     reach = max(_max_abs(rows), _max_abs(relevant), 1)
     if 2 * relevant.shape[1] * reach * reach >= _INT64_LIMIT:
         raise SizeGuardError(f"Voronoi-cell products of entries up to {reach} overflow int64")
-    return (2 * (rows @ relevant.T) <= (relevant * relevant).sum(axis=1)).all(axis=1)
+    cols = np.ascontiguousarray(rows.T)
+    # 2 <u, v> <= ||v||^2 exactly when <u, v> <= floor(||v||^2 / 2).
+    inside = [_column_dot(v, cols) <= sum(x * x for x in v) // 2 for v in relevant.tolist()]
+    return np.logical_and.reduce(inside)
 
 
 # -- brute-force CVP / SVP oracles ------------------------------------------------

@@ -109,8 +109,7 @@ def qft_mod_n(psi: Statevector, register: int) -> Statevector:
     """N-point transform with kernel exp(-2 pi i y z / N)/sqrt(N) on one register."""
     if not 0 <= register < psi.n:
         raise ValueError(f"register {register} out of range for {psi.n} registers")
-    out = np.fft.fft(psi.grid(), axis=register)
-    out /= np.sqrt(psi.N)
+    out = np.fft.fft(psi.grid(), axis=register, norm="ortho")
     return Statevector(psi.N, psi.n, out.reshape(-1))
 
 
@@ -289,7 +288,7 @@ def _chirp_length(N: int) -> int:
 
 
 def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only chirp w_k = exp(-i pi k^2 / N) and the FFT of the padded conjugate chirp over L.
+    """Read-only chirp w_k = exp(-i pi k^2 / N) and the FFT of the padded conjugate chirp over L sqrt(N).
 
     Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
     recently used evicted first.  The caller asks only for plans that fit.
@@ -311,7 +310,7 @@ def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
         np.conjugate(w, out=kernel[:N])
         np.conjugate(w[:0:-1], out=kernel[L - N + 1 :])
         np.fft.fft(kernel, out=kernel)
-        kernel /= L  # the inverse FFT of each call is left unscaled
+        kernel /= L * np.sqrt(N)  # 1/L for the unscaled inverse FFT, 1/sqrt(N) for unitarity
         w.flags.writeable = kernel.flags.writeable = False
         plan = w, kernel
     _plans[N] = plan
@@ -321,18 +320,20 @@ def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fft_in_place(grid: np.ndarray) -> None:
-    """Unnormalised DFT of ``grid`` over all its axes, written into ``grid``.
+    """Unitary DFT of ``grid`` over all its axes, written into ``grid``.
 
+    1/sqrt(grid.size) is applied inside the FFT, not as a pass of its own.
     One axis of length N with ``_chirp_length(N) = L > 0`` and a plan of
     16 (N + L) bytes within ``_PLAN_BYTES`` goes through Bluestein's chirp-z
-    (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)), one cyclic
-    convolution by two length-L FFTs in one padded buffer.  Every other grid
-    goes to ``np.fft.fftn``: a plan that cannot be kept would be rebuilt on
-    every call, at more cost than numpy's own Bluestein.
+    (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)) / sqrt(N), one
+    cyclic convolution by two length-L FFTs in one padded buffer, with
+    1/sqrt(N) folded into the cached kernel.  Every other grid goes to
+    ``np.fft.fftn`` with ``norm="ortho"``: a plan that cannot be kept would
+    be rebuilt on every call, at more cost than numpy's own Bluestein.
     """
     L = _chirp_length(len(grid)) if grid.ndim == 1 else 0
     if not L or 16 * (len(grid) + L) > _PLAN_BYTES:
-        np.fft.fftn(grid, out=grid)
+        np.fft.fftn(grid, out=grid, norm="ortho")
         return
     w, kernel = _chirp_plan(len(grid), L)
     buf = np.zeros(L, dtype=complex)
@@ -351,9 +352,10 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     than complex128 costs one complex |L_N| copy.  Equivalent to
     simulate_sysnf_qft on the embedded state.  Shear and uncompute become one
     gather through the inverse shear (:func:`unshear_slabs`), then one
-    in-place FFT follows.  Its memory is one complex |L_N| array (the output)
-    plus slab-sized temporaries, which is what the sampler requires for the
-    large moduli produced by basis reduction.  At n = 2 with a large prime
+    in-place FFT follows; it is unitary, with 1/sqrt(|L_N|) applied inside
+    it.  Its memory is one complex |L_N| array (the output) plus slab-sized
+    temporaries, which is what the sampler requires for the large moduli
+    produced by basis reduction.  At n = 2 with a large prime
     factor in N and a plan that fits ``_PLAN_BYTES`` (32 MiB, N up to about
     697,000), the transform is the chirp-z of :func:`_fft_in_place` and adds
     a complex buffer of L points and a plan of N + L points, L < 4N being the
@@ -376,7 +378,6 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
         # every slab in a copy of its output before writing it.
         np.take(values, index, out=out[lo : lo + len(index)], mode="clip")
     _fft_in_place(out.reshape((s.N,) * (s.n - 1)))
-    out /= np.sqrt(m)
     return out
 
 

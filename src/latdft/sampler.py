@@ -81,16 +81,32 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) != len(self.probs):
-            raise ValueError("points/probs length mismatch")
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be pairwise distinct")
+        self._check_probs()
+
+    def _check_probs(self):
+        if len(self.points) != len(self.probs):
+            raise ValueError("points/probs length mismatch")
         if not np.isfinite(self.probs).all():
             raise ValueError("non-finite probability")
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
+
+    @classmethod
+    def from_sorted_rows(cls, rows: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+        """The distribution on int64 rows in strictly increasing lexicographic order, hashing no point."""
+        ahead, tied = np.zeros(max(len(rows) - 1, 0), dtype=bool), True
+        for col in rows.T:
+            ahead, tied = ahead | tied & (col[1:] > col[:-1]), tied & (col[1:] == col[:-1])
+        if not ahead.all():
+            raise ValueError("rows must be strictly increasing in lexicographic order")
+        dist = object.__new__(cls)  # skips __post_init__, which would hash every point
+        dist.__dict__.update(points=tuple(zip(*rows.T.tolist())), probs=probs)
+        dist._check_probs()
+        return dist
 
     @classmethod
     def from_weights(cls, points: Sequence[tuple[int, ...]], weights: np.ndarray) -> "DiscreteDistribution":
@@ -140,14 +156,15 @@ def pac_distance(
     An observed point off the target's support moves its mass to the nearest
     target point (the lexicographically smallest of equally near ones) if that
     lies within ``match_radius``, which must be finite and non-negative, and
-    otherwise stays put; no point's destination depends on another point.
+    otherwise stays put; no point's destination depends on another point, and
+    ``math.fsum`` makes every sum independent of the order points are listed in.
     """
     if not 0 <= match_radius < math.inf:
         raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
     tgt = target.as_dict()
     tgt_pts = np.array(target.points, dtype=np.int64)
     rad_sq = Fraction(match_radius) ** 2
-    relocated: dict[tuple[int, ...], float] = {}
+    relocated: dict[tuple[int, ...], list[float]] = {}
     max_disp_sq = 0
     for p, mass in zip(observed.points, observed.probs.tolist()):
         if p not in tgt:
@@ -157,10 +174,8 @@ def pac_distance(
             if int(d2[j]) <= rad_sq:
                 p = target.points[j]
                 max_disp_sq = max(max_disp_sq, int(d2[j]))
-        relocated[p] = relocated.get(p, 0.0) + mass
-    l1 = 0.0
-    for p in set(relocated) | set(tgt):
-        l1 += abs(relocated.get(p, 0.0) - tgt.get(p, 0.0))
+        relocated.setdefault(p, []).append(mass)
+    l1 = math.fsum(abs(math.fsum(relocated.get(p, ())) - tgt.get(p, 0.0)) for p in set(relocated) | set(tgt))
     return 0.5 * l1, math.sqrt(max_disp_sq)
 
 
@@ -177,10 +192,6 @@ class SampleResult:
     boundedness_ok: bool
     grid_points: int = 0
     diagnostics: dict = field(default_factory=dict)
-
-
-def _ceil_sqrt(n: int) -> int:
-    return math.isqrt(n - 1) + 1 if n > 0 else 0
 
 
 def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> SampleResult:
@@ -208,12 +219,12 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         raise ParameterError(f"sampling needs a basis of dimension at least 2, got {n}")
 
     # Step 1: nearby SysNF lattice with accuracy epsilon / (sqrt(n) det(B)),
-    # using an integer upper bound for sqrt(n) (a smaller parameter only
-    # tightens the certificate).
+    # using the integer upper bound isqrt(n - 1) + 1 for sqrt(n) (a smaller
+    # parameter only tightens the certificate).
     det_abs = abs(determinant(b))
     if det_abs == 0:
         raise RankError("basis is singular")
-    eps_reduce = epsilon / (_ceil_sqrt(n) * det_abs)
+    eps_reduce = epsilon / ((math.isqrt(n - 1) + 1) * det_abs)
     cert = reduce_to_sysnf(b, eps_reduce)
     s = cert.basis
     big_n, t_scale = s.N, cert.T
@@ -226,10 +237,14 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     r_grid = spec.grid_radius * big_n / t_scale
     lo_cap, hi_cap = -((big_n - 1) // 2), big_n // 2
     r_int = min(int(math.floor(r_grid)), max(-lo_cap, hi_cap))
-    u = lex_box([(max(-r_int, lo_cap), min(r_int, hi_cap))] * n)
-    norm_u_sq = (u * u).sum(axis=1)
+    lo, hi = max(-r_int, lo_cap), min(r_int, hi_cap)
+    u = lex_box([(lo, hi)] * n)
+    # The box is a product, so its squared norms are one axis's squares summed over every axis.
+    side = np.arange(lo, hi + 1, dtype=np.int64)
+    norm_u_sq = sum(np.ix_(*[side * side] * n)).reshape(-1)
     keep = norm_u_sq.astype(float) <= r_grid * r_grid + 1e-12
-    u, norm_u_sq = u[keep], norm_u_sq[keep]
+    # Coordinate-major from here on: each coordinate of u, y and x is one contiguous array.
+    u, norm_u_sq = np.stack([col[keep] for col in u.T]).T, norm_u_sq[keep]
     amps = np.asarray(spec.amplitude(u.astype(float) * (t_scale / big_n)), dtype=complex)
     total_mass = float((np.abs(amps) ** 2).sum())
     if not math.isfinite(total_mass):
@@ -242,7 +257,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # Hypothesis check (warning only): the radius holding 1 - 2^-n of the
     # prepared mass, |u| T / N in the oracle's space, against lambda_1 of the
     # dual scaled by 2^(n/2 + 2).
-    order = np.argsort(norm_u_sq, kind="stable")
+    # A stable order is fixed by the keys alone; the narrowest unsigned type lets numpy radix-sort them.
+    order = np.argsort(norm_u_sq.astype(np.min_scalar_type(int(norm_u_sq.max()))), kind="stable")
     cum = np.cumsum(mass[order])
     idx = min(int(np.searchsorted(cum, (1.0 - 2.0**-n) * cum[-1])), len(order) - 1)
     t_mass_sq = Fraction(int(norm_u_sq[order[idx]]) * t_scale**2, big_n**2)
@@ -260,16 +276,20 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
 
     # Step 3: coset alignment x = u + y with y the scaled-dual tag of u's coset.
     y = phi3(s, u)
-    x = (u + y) % big_n
+    # u is centred and y lies in [0, N), so x lies in (-N/2, 3N/2): one conditional +-N reduces it.
+    x = u + y
+    x[x < 0] += big_n
+    x[x >= big_n] -= big_n
 
     # Step 4: nearest-plane decode of the tag against the reduced scaled dual.
     dual_red = lll_reduce(dual_basis(s.to_matrix()).scale(big_n))
 
     carrying = mass >= CARRYING_MASS
-    tag_ok = (nearest_plane_rows(dual_red, x) % big_n == y).all(axis=1)
+    decoded = nearest_plane_rows(dual_red, x)
+    tag_ok = np.logical_and.reduce([decoded[:, k] % big_n == y[:, k] for k in range(n)])
     acc = np.zeros(lattice_points, dtype=complex)
     # add.at and the row-order sum add in grid order, as a per-point loop would.
-    np.add.at(acc, ln_index(s, x[tag_ok, 1:]), amps[tag_ok])
+    np.add.at(acc, ln_index(s, x[:, 1:])[tag_ok], amps[tag_ok])
     ancilla_mass = sum(mass[~tag_ok].tolist(), 0.0)
 
     # Correct-closest check on amplitude-carrying points: x - y = u modulo
@@ -277,7 +297,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # when u lies in the closed Voronoi cell of N L'*.
     relevant = voronoi_relevant(dual_red)
     off_cell = np.zeros(len(u), dtype=bool)
-    off_cell[carrying] = ~in_voronoi_cell(relevant, u[carrying])
+    off_cell[carrying] = ~in_voronoi_cell(relevant, np.stack([col[carrying] for col in u.T]).T)
     mismatch_mass = float(mass[off_cell | (carrying & ~tag_ok)].sum())
     carrying_mass = float(mass[carrying].sum())
     decode_mismatch_rate = mismatch_mass / carrying_mass if carrying_mass > 0 else 0.0
@@ -311,7 +331,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     except ValueError as exc:
         raise RuntimeError(f"support point escaped the input lattice: {exc}") from exc
     order = np.lexsort(points.T[::-1])
-    dist = DiscreteDistribution(tuple(map(tuple, points[order].tolist())), kept[order])
+    dist = DiscreteDistribution.from_sorted_rows(points[order], kept[order])
 
     rng = np.random.default_rng(seed)
     if shots and len(dist.points):

@@ -39,7 +39,7 @@ from .errors import (
     SizeGuardError,
     StructureError,
 )
-from .intlat import _INT64_LIMIT, ExactMatrix, hnf, sqrt_upper_bound, vec_integer_form
+from .intlat import _INT64_LIMIT, ExactMatrix, _column_dot, hnf, sqrt_upper_bound, vec_integer_form
 
 DELTA_SEARCH_CAP = 2**20
 SCALE_CAP = 2**512
@@ -154,8 +154,9 @@ def _points(s: SysNFBasis, x) -> np.ndarray:
 
 
 def _coset_residue(s: SysNFBasis, x: np.ndarray) -> np.ndarray:
-    """x_1 - sum_j b_j x_j mod N for reduced points x; zero exactly on L_N."""
-    return (x[..., 0] - x[..., 1:] @ np.array(s.b, dtype=np.int64)) % s.N
+    """x_1 - sum_j b_j x_j mod N for reduced points x, a new array; zero exactly on L_N."""
+    r = _column_dot(s.b, np.moveaxis(x[..., 1:], -1, 0))
+    return np.remainder(np.subtract(x[..., 0], r, out=r), s.N, out=r)
 
 
 def ln_membership(s: SysNFBasis, x) -> np.ndarray:
@@ -199,13 +200,15 @@ def ln_first(s: SysNFBasis) -> np.ndarray:
 
 
 def ln_index(s: SysNFBasis, tails: np.ndarray) -> np.ndarray:
-    """Canonical L_N index of each row of tails (x_2, ..., x_n); inverse of ln_points."""
-    return tails @ np.array([s.N**i for i in range(s.n - 2, -1, -1)], dtype=np.int64)
+    """Canonical L_N index of each row of tails (x_2, ..., x_n), a scalar for one tail; inverse of ln_points."""
+    return _column_dot([s.N**i for i in range(s.n - 2, -1, -1)], np.moveaxis(tails, -1, 0))[()]
 
 
 def _dual_points(s: SysNFBasis, a: np.ndarray) -> np.ndarray:
-    """The points (a, -b_2 a, ..., -b_n a) mod N of (N L*)_N, one per entry of a in [0, N)."""
-    return a[..., None] * np.array((1, *(-bj for bj in s.b)), dtype=np.int64) % s.N
+    """The points (a, -b_2 a, ..., -b_n a) mod N of (N L*)_N, one per a in [0, N), coordinate-major."""
+    out = np.stack([a, *(-bj * a for bj in s.b)])
+    out[1:] %= s.N
+    return np.moveaxis(out, 0, -1)
 
 
 def enumerate_scaled_dual(s: SysNFBasis) -> np.ndarray:
@@ -230,9 +233,9 @@ def phi3(s: SysNFBasis, x) -> np.ndarray:
     a = -(sum b_j^2 + 1)^{-1} (x_1 - sum_j b_j x_j) mod N.  Constant on cosets
     of L_N and bijective from the quotient onto the scaled dual.
     """
-    x = _points(s, x)
-    inv = s.condition_inverse()
-    return _dual_points(s, -inv * _coset_residue(s, x) % s.N)
+    a = _coset_residue(s, _points(s, x))
+    a *= -s.condition_inverse()
+    return _dual_points(s, np.remainder(a, s.N, out=a))
 
 
 # -- reduction to SysNF ------------------------------------------------------------

@@ -443,7 +443,6 @@ def _scatter_qft_reference(s: SysNFBasis, values: np.ndarray, fft=qcirc._fft_in_
     out = np.zeros(m, dtype=complex)
     out[_shear_index_reference(s)] = values
     fft(out.reshape((s.N,) * (s.n - 1)))
-    out /= np.sqrt(m)
     return out
 
 
@@ -520,7 +519,7 @@ def test_one_axis_fft_against_numpy(s, chirp):
     assert (qcirc._chirp_length(s.N) > 0) == chirp
     v = np.random.default_rng(s.N).normal(size=2 * s.N).view(complex)
     out = lattice_qft_values(s, v)
-    ref = _scatter_qft_reference(s, v, fft=lambda grid: np.fft.fft(grid, out=grid))
+    ref = _scatter_qft_reference(s, v, fft=lambda grid: np.fft.fft(grid, out=grid, norm="ortho"))
     if chirp:
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     else:
@@ -649,6 +648,33 @@ def test_sigma_maps_the_input_lattice_onto_the_sysnf_lattice(b, eps):
     image = cert.sigma @ b
     assert image.is_integer()
     assert hnf(image)[0] == cert.basis.to_matrix()
+
+
+def _layouts(rows: np.ndarray) -> list[np.ndarray]:
+    """The rows C-ordered, Fortran-ordered, every other row, as a slice of wider rows, and none of them."""
+    wide = np.zeros((len(rows), rows.shape[1] + 3), dtype=np.int64)
+    wide[:, : rows.shape[1]] = rows
+    return [rows, np.asfortranarray(rows), rows[::2], wide[:, : rows.shape[1]], rows[:0]]
+
+
+@PROPS
+@given(reduced_basis, sysnf_basis().filter(lambda s: s.is_valid), st.data())
+def test_row_kernels_ignore_memory_layout(b, s, data):
+    # The per-coordinate kernels read columns of whatever layout they are given;
+    # the C-ordered results are checked against the scalar oracles above.
+    rows = np.array(data.draw(_int_rows(b.ncols, st.integers(-60, 60))), dtype=np.int64)
+    points = np.array(data.draw(_int_rows(s.n, st.integers(-3 * s.N, 3 * s.N))), dtype=np.int64)
+    relevant = voronoi_relevant(b)
+    for base, kernel in [
+        (rows, lambda r: nearest_plane_rows(b, r)),
+        (rows, lambda r: in_voronoi_cell(relevant, r)),
+        (points, lambda r: phi3(s, r)),
+        (points, lambda r: ln_membership(s, r)),
+    ]:
+        for view in _layouts(base):
+            got, want = kernel(view), kernel(np.ascontiguousarray(view))
+            assert got.dtype == want.dtype and got.shape == want.shape and len(got) == len(view)
+            assert np.array_equal(got, want)
 
 
 @PROPS

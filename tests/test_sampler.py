@@ -117,7 +117,7 @@ class TestPacDistance:
         assert tv == 0.0 and disp == 1.0  # (0, 0) went to (-1, 0), (1, 0) stayed
 
     def test_observed_order_does_not_matter(self):
-        # Each point's destination is its own: shuffling moves tv by rounding only.
+        # Each point's destination is its own, and the sums are exactly rounded: shuffling moves nothing.
         rng = np.random.default_rng(5)
         tgt = brute_force_target(target_gaussian(3.0), B_ACCEPT, 8.0)
         pts = rng.integers(-9, 10, size=(60, 2))
@@ -131,7 +131,17 @@ class TestPacDistance:
             perm = rng.permutation(len(points))
             obs = DiscreteDistribution(tuple(points[i] for i in perm), probs[perm] / probs.sum())
             tv_p, disp_p = pac_distance(obs, tgt, 1.0)
-            assert abs(tv_p - tv) <= 1e-15 and disp_p == disp
+            assert tv_p == tv and disp_p == disp
+
+    def test_relocated_masses_sum_in_any_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round differently in floats; all three land on (0, 0).
+        tgt = DiscreteDistribution(((0, 0),), np.array([1.0]))
+        near = [((1, 0), 0.1), ((0, 1), 0.2), ((-1, 0), 0.3)]
+        results = []
+        for listed in (near, near[::-1]):
+            points, probs = zip(*listed, ((9, 9), 0.4))
+            results.append(pac_distance(DiscreteDistribution(points, np.array(probs)), tgt, 1.0))
+        assert results[0] == results[1] == (0.4, 1.0)
 
     @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
     def test_bad_radius_rejected(self, radius):
@@ -165,6 +175,29 @@ class TestDiscreteDistribution:
             DiscreteDistribution(((0, 0), (1, 0)), np.array([1.0, bad]))
         with pytest.raises(ValueError, match="non-finite weight"):
             DiscreteDistribution.from_weights([(0, 0), (1, 0)], [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [0, 0]], [[1, 0], [0, 5]], [[0, 0], [0, 0]], [[-1, 2], [3, 0], [3, 0]]]
+    )
+    def test_sorted_rows_rejects_unsorted_or_repeated(self, rows):
+        probs = np.full(len(rows), 1 / len(rows))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiscreteDistribution.from_sorted_rows(np.array(rows, dtype=np.int64), probs)
+
+    def test_sorted_rows_checks_probabilities(self):
+        with pytest.raises(ValueError, match="sum to"):
+            DiscreteDistribution.from_sorted_rows(np.array([[0, 0], [0, 1]], dtype=np.int64), np.array([0.9, 0.2]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            DiscreteDistribution.from_sorted_rows(np.array([[0, 0]], dtype=np.int64), np.array([0.5, 0.5]))
+
+    def test_sorted_rows_equal_tuple_constructor_on_sample_support(self):
+        spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
+        dist = sample(spec, B_ACCEPT, Fraction(1, 8), shots=0, seed=1).distribution
+        rows = np.array(dist.points, dtype=np.int64)
+        for got in (dist, DiscreteDistribution.from_sorted_rows(rows, dist.probs)):
+            want = DiscreteDistribution(tuple(map(tuple, rows.tolist())), dist.probs)
+            assert repr(got.points) == repr(want.points)  # Python ints, not numpy scalars
+            assert got.probs.tobytes() == want.probs.tobytes()
 
     def test_brute_force_target_rejects_nan_density(self):
         def f(p):
