@@ -7,13 +7,14 @@ Basis states off L_N pass through the composite circuit unchanged.
 :func:`lattice_qft_values` is the compressed path on the L_N subspace alone:
 shear and uncompute as one slab-wise gather through the inverse shear, then
 one in-place FFT.  It holds one complex |L_N| array plus slab-sized
-temporaries, and at n = 2 with N of a large prime factor a chirp-z buffer
-and plan whose sizes follow from N (see :func:`lattice_qft_values`).
+temporaries, and at n = 2 with N of a large prime factor a four-step chirp-z
+buffer and plan whose sizes follow from N (see :func:`lattice_qft_values`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -287,10 +288,19 @@ def _chirp_length(N: int) -> int:
     return length if 3 * _pass_cost(length)[0] < direct else 0
 
 
-def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only chirp w_k = exp(-i pi k^2 / N) and the FFT of the padded conjugate chirp over L sqrt(N).
+def _four_step(buf: np.ndarray, twiddle: np.ndarray, first: int) -> None:
+    """Unscaled FFT of an (L1, L2) array in place by Bailey's four-step (1990): ``first = 0`` maps
+    natural order to transposed order ([k1, k2] holds index k1 + L1 k2), ``first = 1`` back."""
+    np.fft.fft(buf, axis=first, out=buf)
+    buf *= twiddle
+    np.fft.fft(buf, axis=1 - first, out=buf)
 
-    Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
+
+def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only chirp w_k = exp(-i pi k^2 / N), four-step twiddle and FFT of the padded conjugate chirp over L sqrt(N).
+
+    Twiddle exp(-2 pi i k1 n2 / L) and kernel (in transposed order) are (L1, L2) arrays, L1 the largest
+    divisor of L not above sqrt(L).  Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
     recently used evicted first.  The caller asks only for plans that fit.
     """
     plan = _plans.pop(N, None)
@@ -302,17 +312,20 @@ def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
         k %= 2 * N
         w = np.empty(N, dtype=complex)
         np.multiply(k, -np.pi / N, out=w.real)
-        del k
         np.sin(w.real, out=w.imag)
         np.cos(w.real, out=w.real)
-        # conj(w) at lags 0..N-1 and, wrapped to the end, at lags -(N-1)..-1.
-        kernel = np.zeros(L, dtype=complex)
-        np.conjugate(w, out=kernel[:N])
-        np.conjugate(w[:0:-1], out=kernel[L - N + 1 :])
-        np.fft.fft(kernel, out=kernel)
-        kernel /= L * np.sqrt(N)  # 1/L for the unscaled inverse FFT, 1/sqrt(N) for unitarity
-        w.flags.writeable = kernel.flags.writeable = False
-        plan = w, kernel
+        L1 = next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
+        twiddle = np.zeros((L1, L // L1), dtype=complex)
+        np.multiply.outer(np.arange(L1) * (-2 * np.pi / L), np.arange(L // L1), out=twiddle.imag)
+        np.exp(twiddle, out=twiddle)  # in place: no temporary
+        # conj(w) at lags -(N-1)..N-1 from index 0, so lag j of the convolution lands at -(N-1) - j mod L.
+        kernel = np.zeros_like(twiddle)
+        np.conjugate(w[::-1], out=kernel.reshape(-1)[:N])
+        np.conjugate(w[1:], out=kernel.reshape(-1)[N : 2 * N - 1])
+        _four_step(kernel, twiddle, 0)
+        kernel /= L * np.sqrt(N)  # 1/L for the inverse, 1/sqrt(N) for unitarity
+        w.flags.writeable = twiddle.flags.writeable = kernel.flags.writeable = False
+        plan = w, twiddle, kernel
     _plans[N] = plan
     while sum(a.nbytes for kept in _plans.values() for a in kept) > _PLAN_BYTES:
         del _plans[next(iter(_plans))]
@@ -324,24 +337,26 @@ def _fft_in_place(grid: np.ndarray) -> None:
 
     1/sqrt(grid.size) is applied inside the FFT, not as a pass of its own.
     One axis of length N with ``_chirp_length(N) = L > 0`` and a plan of
-    16 (N + L) bytes within ``_PLAN_BYTES`` goes through Bluestein's chirp-z
+    16 (N + 2L) bytes within ``_PLAN_BYTES`` goes through Bluestein's chirp-z
     (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)) / sqrt(N), one
-    cyclic convolution by two length-L FFTs in one padded buffer, with
-    1/sqrt(N) folded into the cached kernel.  Every other grid goes to
-    ``np.fft.fftn`` with ``norm="ortho"``: a plan that cannot be kept would
-    be rebuilt on every call, at more cost than numpy's own Bluestein.
+    cyclic convolution in a padded buffer of L points by two four-step FFTs; the
+    second, axes swapped, is forward too and so reads the lags backwards, with
+    1/(L sqrt(N)) folded into the cached kernel.  Every other grid goes to
+    ``np.fft.fftn`` with ``norm="ortho"``: a plan that cannot be kept would be
+    rebuilt on every call, at more cost than numpy's own Bluestein.
     """
-    L = _chirp_length(len(grid)) if grid.ndim == 1 else 0
-    if not L or 16 * (len(grid) + L) > _PLAN_BYTES:
+    N = grid.size
+    L = _chirp_length(N) if grid.ndim == 1 else 0
+    if not L or 16 * (N + 2 * L) > _PLAN_BYTES:
         np.fft.fftn(grid, out=grid, norm="ortho")
         return
-    w, kernel = _chirp_plan(len(grid), L)
-    buf = np.zeros(L, dtype=complex)
-    np.multiply(grid, w, out=buf[: len(grid)])
-    np.fft.fft(buf, out=buf)
+    w, twiddle, kernel = _chirp_plan(N, L)
+    buf = np.zeros_like(twiddle)
+    np.multiply(grid, w, out=buf.reshape(-1)[:N])
+    _four_step(buf, twiddle, 0)
     buf *= kernel
-    np.fft.ifft(buf, norm="forward", out=buf)
-    np.multiply(buf[: len(grid)], w, out=grid)
+    _four_step(buf, twiddle, 1)
+    np.multiply(buf.reshape(-1)[L - N + 1 : L - 2 * N + 1 : -1], w, out=grid)
 
 
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
@@ -357,8 +372,8 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     temporaries, which is what the sampler requires for the large moduli
     produced by basis reduction.  At n = 2 with a large prime
     factor in N and a plan that fits ``_PLAN_BYTES`` (32 MiB, N up to about
-    697,000), the transform is the chirp-z of :func:`_fft_in_place` and adds
-    a complex buffer of L points and a plan of N + L points, L < 4N being the
+    420,000), the transform is the four-step chirp-z of :func:`_fft_in_place`
+    and adds a complex buffer of L points and a plan of N + 2L, L < 4N being the
     smallest 2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` in all
     stay cached between calls.  As N = |L_N| there, the |L_N| guard bounds
     that scratch and fires before any of it is allocated.  Every other

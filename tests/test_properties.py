@@ -509,13 +509,18 @@ def test_unshear_slab_edges_at_module_slab(s, count, last):
     [
         (SysNFBasis(1026, (2,)), False),  # 2 * 3^3 * 19: direct passes
         (SysNFBasis(131072, (2,)), False),  # 2^17
+        (SysNFBasis(97, (2,)), True),  # L = 200 = 10 * 20
+        (SysNFBasis(739, (2,)), True),  # L = 1500 = 30 * 50
+        (SysNFBasis(4098, (2,)), True),  # 2 * 3 * 683, L = 8640 = 90 * 96
+        (SysNFBasis(8129, (2,)), True),  # 11 * 739, L = 16384 = 128 * 128
         (SysNFBasis(40009, (123,)), True),  # prime
         (SysNFBasis(130817, (5,)), True),  # prime, the acceptance instance's N
     ],
 )
 def test_one_axis_fft_against_numpy(s, chirp):
     # Both sides of the chirp-z selection against np.fft: bit for bit where
-    # np.fft runs, to 1e-12 relative where the chirp-z transform runs.
+    # np.fft runs, to 1e-12 relative where the chirp-z transform runs, over
+    # square and non-square four-step splits of its padded length.
     assert (qcirc._chirp_length(s.N) > 0) == chirp
     v = np.random.default_rng(s.N).normal(size=2 * s.N).view(complex)
     out = lattice_qft_values(s, v)

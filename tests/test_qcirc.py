@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -346,15 +347,15 @@ class TestCompressedPath:
         # Outputs of 2 MB and more: the output plus slab-sized temporaries and
         # the FFT scratch that numpy traces, with no room for an |L_N|-sized
         # index (half the output).  The one-axis chirp-z transform adds its
-        # padded buffer of L complex points, and its plan of N + L points on a
-        # call that builds it.  pocketfft's own scratch for the smooth lengths
-        # it is left with is not traced.
+        # padded buffer of L complex points, and on a call that builds it a
+        # plan of N + 2L points: chirp, twiddle and kernel.  pocketfft's own
+        # scratch for the smooth lengths it is left with is not traced.
         vec = np.ones(s.N ** (s.n - 1), dtype=complex)
         assert vec.nbytes >= 2 * 10**6
         L = qcirc._chirp_length(s.N) if s.n == 2 else 0
         assert (L > 0) == (s.n == 2)
         buffer = 16 * L
-        plan = 16 * (s.N + L) if L else 0
+        plan = 16 * (s.N + 2 * L) if L else 0
         monkeypatch.setattr(qcirc, "_plans", {})
         cold = _peak_bytes(lambda: lattice_qft_values(s, vec))
         warm = _peak_bytes(lambda: lattice_qft_values(s, vec))
@@ -363,7 +364,7 @@ class TestCompressedPath:
 
 
 def _plan_bytes(N: int) -> int:
-    return 16 * (N + qcirc._chirp_length(N))
+    return 16 * (N + 2 * qcirc._chirp_length(N))
 
 
 class TestChirpPlans:
@@ -390,6 +391,17 @@ class TestChirpPlans:
         for array in qcirc._plans[1999]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize(
+        "N, split", [(97, (10, 20)), (739, (30, 50)), (4098, (90, 96)), (8129, (128, 128)), (130817, (512, 512))]
+    )
+    def test_four_step_split(self, N, split):
+        # L = L1 L2 with L1 the largest divisor of L not above sqrt(L); the
+        # twiddle and the kernel are both held as (L1, L2) arrays.
+        L = qcirc._chirp_length(N)
+        _, twiddle, kernel = qcirc._chirp_plan(N, L)
+        assert twiddle.shape == kernel.shape == split and split[0] * split[1] == L
+        assert split[0] == max(d for d in range(1, math.isqrt(L) + 1) if L % d == 0)
 
     def test_least_recently_used_evicted_and_oversized_not_kept(self, monkeypatch):
         monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(127) + _plan_bytes(211) - 1)
