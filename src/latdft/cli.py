@@ -174,7 +174,10 @@ def cmd_sample(args) -> int:
         extra = sorted(set(spec_cfg) - {"kind", "s"})
         if extra:
             raise ValueError(f"unknown spec keys {extra}; a spec takes kind and s only")
-        s_target = float(spec_cfg["s"])
+        s_target = spec_cfg["s"]
+        if type(s_target) not in (int, float):
+            raise ValueError(f"s must be a number, got {s_target!r}")
+        s_target = float(s_target)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"bad config: {exc}") from exc
 

@@ -29,7 +29,6 @@ from .intlat import (
     dual_basis,
     in_voronoi_cell,
     integral_rows,
-    lambda1_sq,
     lex_box,
     lll_reduce,
     nearest_plane_rows,
@@ -108,16 +107,6 @@ class DiscreteDistribution:
         dist._check_probs()
         return dist
 
-    @classmethod
-    def from_weights(cls, points: Sequence[tuple[int, ...]], weights: np.ndarray) -> "DiscreteDistribution":
-        weights = np.asarray(weights, dtype=float)
-        if not np.isfinite(weights).all():
-            raise ValueError("non-finite weight")
-        total = weights.sum()
-        if total <= 0:
-            raise ZeroMassError("empty or zero-mass support")
-        return cls(tuple(points), weights / total)
-
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {p: float(q) for p, q in zip(self.points, self.probs)}
 
@@ -139,11 +128,14 @@ def brute_force_target(
     pts = pts[keep]
     if len(pts) == 0:
         raise ZeroMassError("no lattice points inside the box")
-    points = tuple(map(tuple, pts[np.lexsort(pts.T[::-1])].tolist()))
-    weights = np.array([abs(f(p)) ** 2 for p in points], dtype=float)
-    if weights.sum() == 0:
+    rows = pts[np.lexsort(pts.T[::-1])]
+    weights = np.array([abs(f(p)) ** 2 for p in zip(*rows.T.tolist())], dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite weight")
+    total = weights.sum()
+    if total == 0:
         raise ZeroMassError("target density vanishes on the box")
-    return DiscreteDistribution.from_weights(points, weights)
+    return DiscreteDistribution.from_sorted_rows(rows, weights / total)
 
 
 def pac_distance(
@@ -189,7 +181,6 @@ class SampleResult:
     decode_mismatch_rate: float
     ancilla_residual: float
     norm_defect: float
-    boundedness_ok: bool
     grid_points: int = 0
     diagnostics: dict = field(default_factory=dict)
 
@@ -244,7 +235,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     norm_u_sq = sum(np.ix_(*[side * side] * n)).reshape(-1)
     keep = norm_u_sq.astype(float) <= r_grid * r_grid + 1e-12
     # Coordinate-major from here on: each coordinate of u, y and x is one contiguous array.
-    u, norm_u_sq = np.stack([col[keep] for col in u.T]).T, norm_u_sq[keep]
+    u = np.stack([col[keep] for col in u.T]).T
     amps = np.asarray(spec.amplitude(u.astype(float) * (t_scale / big_n)), dtype=complex)
     total_mass = float((np.abs(amps) ** 2).sum())
     if not math.isfinite(total_mass):
@@ -253,26 +244,6 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         raise ZeroMassError("spec has zero squared mass on the prepared grid")
     amps = amps / math.sqrt(total_mass)
     mass = np.abs(amps) ** 2
-
-    # Hypothesis check (warning only): the radius holding 1 - 2^-n of the
-    # prepared mass, |u| T / N in the oracle's space, against lambda_1 of the
-    # dual scaled by 2^(n/2 + 2).
-    # A stable order is fixed by the keys alone; the narrowest unsigned type lets numpy radix-sort them.
-    order = np.argsort(norm_u_sq.astype(np.min_scalar_type(int(norm_u_sq.max()))), kind="stable")
-    cum = np.cumsum(mass[order])
-    idx = min(int(np.searchsorted(cum, (1.0 - 2.0**-n) * cum[-1])), len(order) - 1)
-    t_mass_sq = Fraction(int(norm_u_sq[order[idx]]) * t_scale**2, big_n**2)
-    try:
-        boundedness_ok = t_mass_sq * 2 ** (n + 4) <= lambda1_sq(dual_basis(b))
-    except SizeGuardError:
-        boundedness_ok = False
-    else:
-        if not boundedness_ok:
-            warnings.warn(
-                f"mass radius {math.sqrt(t_mass_sq):.4g} exceeds lambda1(dual)/2^(n/2+2); "
-                "decoding guarantees may fail",
-                stacklevel=2,
-            )
 
     # Step 3: coset alignment x = u + y with y the scaled-dual tag of u's coset.
     y = phi3(s, u)
@@ -347,7 +318,6 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         decode_mismatch_rate=decode_mismatch_rate,
         ancilla_residual=float(ancilla_mass),
         norm_defect=norm_defect,
-        boundedness_ok=boundedness_ok,
         grid_points=len(u),
         diagnostics={
             "lambda1_scaled_dual_sq": float((relevant * relevant).sum(axis=1).min()),

@@ -321,6 +321,9 @@ class TestSample:
             pytest.param({"spec": {"kind": "gaussian"}}, id="spec-without-s"),
             pytest.param({"spec": "gaussian"}, id="spec-not-object"),
             pytest.param({"spec": {"kind": "gaussian", "s": "wide"}}, id="s-not-number"),
+            pytest.param({"spec": {"kind": "gaussian", "s": "16"}}, id="s-string"),
+            # At epsilon 1/16 a width of 1.0 would exit 1 by the grid guard anyway.
+            pytest.param({"spec": {"kind": "gaussian", "s": True}, "epsilon": "1/4"}, id="s-bool"),
             pytest.param({"spec": {"kind": "gaussian", "s": 0}}, id="s-zero"),
             pytest.param({"spec": {"kind": "gaussian", "s": -2.0}}, id="s-negative"),
             pytest.param({"spec": {"kind": "gaussian", "s": math.nan}}, id="s-nan"),

@@ -98,7 +98,9 @@ def test_cli_sample_artefacts(tmp_path, monkeypatch):
     Path("basis.txt").write_text("2 2\n2 1\n0 1\n")
     config = {"basis": "basis.txt", "spec": {"kind": "gaussian", "s": 16.0}, "epsilon": "1/16", "shots": 100, "seed": 31}
     Path("config.json").write_text(json.dumps(config))
-    assert main(["sample", "--config", "config.json", "--out", "out"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the run must raise no warning of any kind
+        assert main(["sample", "--config", "config.json", "--out", "out"]) == 0
     assert Path("out/samples.csv").read_bytes() == (GOLDEN_SAMPLE / "samples.csv").read_bytes()
     got = json.loads(Path("out/sample_report.json").read_text())
     want = json.loads((GOLDEN_SAMPLE / "sample_report.json").read_text())
