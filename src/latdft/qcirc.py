@@ -6,9 +6,11 @@ Basis states off L_N pass through the composite circuit unchanged.
 
 :func:`lattice_qft_values` is the compressed path on the L_N subspace alone:
 shear and uncompute as one slab-wise gather through the inverse shear, then
-one in-place FFT.  It holds one complex |L_N| array plus slab-sized
-temporaries, and at n = 2 with N of a large prime factor a four-step chirp-z
-buffer and plan whose sizes follow from N (see :func:`lattice_qft_values`).
+one in-place FFT; it holds one complex |L_N| array plus slab-sized
+temporaries.  At n = 2 with N of a large prime factor the shear folds into
+the ratio of one chirp-z transform instead, with no gather: a four-step
+convolution in row-padded (L1, L2 + 8) arrays whose sizes follow from N (see
+:func:`lattice_qft_values`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ SUPPORT_TOL = 1e-12
 _SLAB = 2**14
 # Bytes of chirp-z plans kept between calls, least recently used evicted first.
 _PLAN_BYTES = 2**25
-_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # in order of last use
+_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # in order of last use
+# Pad points per row of the chirp-z four-step arrays.  A row of L2 points is a
+# multiple of 4 KiB at L2 = 512 (N = 130,817), so a column pass strides
+# through one cache set; a row of L2 + 8 points spans a multiple of 4 KiB only
+# where L2 + 8 is a multiple of 256, and the first 5-smooth such L2 is 9,720,
+# beyond the 3,125 of any plan that fits _PLAN_BYTES.
+_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -288,75 +296,117 @@ def _chirp_length(N: int) -> int:
     return length if 3 * _pass_cost(length)[0] < direct else 0
 
 
+def _chirp_split(N: int) -> tuple[int, int] | None:
+    """Four-step split (L1, L2) of the length-N chirp-z convolution, or None where ``np.fft`` runs.
+
+    L = L1 L2 is ``_chirp_length(N)`` and L1 its largest divisor not above
+    sqrt(L).  None where L = 0, or where the plan, 16 (N + 2 L1 (L2 + _PAD))
+    bytes, would not fit ``_PLAN_BYTES``: a plan that cannot be kept would be
+    rebuilt on every call, at more cost than numpy's own Bluestein.
+    """
+    L = _chirp_length(N)
+    if not L:
+        return None
+    L1 = next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
+    L2 = L // L1
+    return (L1, L2) if 16 * (N + 2 * L1 * (L2 + _PAD)) <= _PLAN_BYTES else None
+
+
+def _row_blocks(buf: np.ndarray, width: int, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Points lo..hi-1 of the row-major array held in the first ``width`` columns of ``buf``.
+
+    Yields ``(a, b, block)``, at most three 2-D views in order: the rest of a
+    partial first row, the whole rows, the start of a last row; ``block``
+    holds points a..b-1 in C order.
+    """
+    while lo < hi:
+        row, col = divmod(lo, width)
+        rows = 0 if col else (hi - lo) // width
+        if rows:
+            b = lo + rows * width
+            yield lo, b, buf[row : row + rows, :width]
+        else:
+            b = min(hi, lo - col + width)
+            yield lo, b, buf[row : row + 1, col : col + b - lo]
+        lo = b
+
+
 def _four_step(buf: np.ndarray, twiddle: np.ndarray, first: int) -> None:
-    """Unscaled FFT of an (L1, L2) array in place by Bailey's four-step (1990): ``first = 0`` maps
-    natural order to transposed order ([k1, k2] holds index k1 + L1 k2), ``first = 1`` back."""
-    np.fft.fft(buf, axis=first, out=buf)
+    """Unscaled FFT of the (L1, L2) view of a padded (L1, L2 + _PAD) array in place by Bailey's
+    four-step (1990): ``first = 0`` maps natural order to transposed order ([k1, k2] holds index
+    k1 + L1 k2), ``first = 1`` back.  The twiddle multiply runs over the whole padded arrays,
+    whose pad columns stay zero."""
+    view = buf[:, : buf.shape[1] - _PAD]
+    np.fft.fft(view, axis=first, out=view)
     buf *= twiddle
-    np.fft.fft(buf, axis=1 - first, out=buf)
+    np.fft.fft(view, axis=1 - first, out=view)
 
 
-def _chirp_plan(N: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only chirp w_k = exp(-i pi k^2 / N), four-step twiddle and FFT of the padded conjugate chirp over L sqrt(N).
+def _chirp_plan(N: int, C: int, split: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only chirp w_k = exp(-i pi C k^2 / N), four-step twiddle and FFT of the padded conjugate chirp over L sqrt(N).
 
-    Twiddle exp(-2 pi i k1 n2 / L) and kernel (in transposed order) are (L1, L2) arrays, L1 the largest
-    divisor of L not above sqrt(L).  Plans stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
+    Twiddle exp(-2 pi i k1 n2 / L) and kernel (in transposed order) are held in the first L2 columns
+    of (L1, L2 + _PAD) arrays, ``split = (L1, L2)`` from :func:`_chirp_split`, with zero pad columns.
+    Plans are keyed by (N, C) and stay in ``_plans`` while their bytes fit ``_PLAN_BYTES``, least
     recently used evicted first.  The caller asks only for plans that fit.
     """
-    plan = _plans.pop(N, None)
+    plan = _plans.pop((N, C), None)
     if plan is None:
-        # k^2 mod 2N gives the same phase; k^2 < N^2 is exact in int64
-        # because N = |L_N| <= BOX_GUARD (checked by the caller).
+        # The phase integer C (k^2 mod 2N) mod 2N gives the same phase; both
+        # products stay below 2 N^2, exact in int64 for any N whose plan fits
+        # _PLAN_BYTES.
         k = np.arange(N, dtype=np.int64)
         k *= k
+        k %= 2 * N
+        k *= C
         k %= 2 * N
         w = np.empty(N, dtype=complex)
         np.multiply(k, -np.pi / N, out=w.real)
         np.sin(w.real, out=w.imag)
         np.cos(w.real, out=w.real)
-        L1 = next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
-        twiddle = np.zeros((L1, L // L1), dtype=complex)
-        np.multiply.outer(np.arange(L1) * (-2 * np.pi / L), np.arange(L // L1), out=twiddle.imag)
-        np.exp(twiddle, out=twiddle)  # in place: no temporary
+        L1, L2 = split
+        L = L1 * L2
+        twiddle = np.zeros((L1, L2 + _PAD), dtype=complex)
+        cells = twiddle[:, :L2]
+        np.multiply.outer(np.arange(L1) * (-2 * np.pi / L), np.arange(L2), out=cells.imag)
+        np.exp(cells, out=cells)  # in place: no temporary
         # conj(w) at lags -(N-1)..N-1 from index 0, so lag j of the convolution lands at -(N-1) - j mod L.
         kernel = np.zeros_like(twiddle)
-        np.conjugate(w[::-1], out=kernel.reshape(-1)[:N])
-        np.conjugate(w[1:], out=kernel.reshape(-1)[N : 2 * N - 1])
+        for lags, lo in ((w[::-1], 0), (w[1:], N)):
+            for a, b, block in _row_blocks(kernel, L2, lo, lo + len(lags)):
+                np.conjugate(lags[a - lo : b - lo].reshape(block.shape), out=block)
         _four_step(kernel, twiddle, 0)
         kernel /= L * np.sqrt(N)  # 1/L for the inverse, 1/sqrt(N) for unitarity
         w.flags.writeable = twiddle.flags.writeable = kernel.flags.writeable = False
         plan = w, twiddle, kernel
-    _plans[N] = plan
+    _plans[N, C] = plan
     while sum(a.nbytes for kept in _plans.values() for a in kept) > _PLAN_BYTES:
         del _plans[next(iter(_plans))]
     return plan
 
 
-def _fft_in_place(grid: np.ndarray) -> None:
-    """Unitary DFT of ``grid`` over all its axes, written into ``grid``.
+def _chirp_z(values: np.ndarray, w: np.ndarray, twiddle: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """X_j = w_j sum_k (x_k w_k) conj(w_(j-k)) / sqrt(N) by Bluestein (1970), for a plan of :func:`_chirp_plan`.
 
-    1/sqrt(grid.size) is applied inside the FFT, not as a pass of its own.
-    One axis of length N with ``_chirp_length(N) = L > 0`` and a plan of
-    16 (N + 2L) bytes within ``_PLAN_BYTES`` goes through Bluestein's chirp-z
-    (Bluestein 1970): X_j = w_j sum_k (x_k w_k) conj(w_(j-k)) / sqrt(N), one
-    cyclic convolution in a padded buffer of L points by two four-step FFTs; the
-    second, axes swapped, is forward too and so reads the lags backwards, with
-    1/(L sqrt(N)) folded into the cached kernel.  Every other grid goes to
-    ``np.fft.fftn`` with ``norm="ortho"``: a plan that cannot be kept would be
-    rebuilt on every call, at more cost than numpy's own Bluestein.
+    One cyclic convolution in a padded buffer of the plan's shape by two
+    four-step FFTs; the second, axes swapped, is forward too and so reads
+    the lags backwards, with 1/(L sqrt(N)) folded into the kernel.
     """
-    N = grid.size
-    L = _chirp_length(N) if grid.ndim == 1 else 0
-    if not L or 16 * (N + 2 * L) > _PLAN_BYTES:
-        np.fft.fftn(grid, out=grid, norm="ortho")
-        return
-    w, twiddle, kernel = _chirp_plan(N, L)
+    N, L2 = len(w), twiddle.shape[1] - _PAD
+    L = twiddle.shape[0] * L2
     buf = np.zeros_like(twiddle)
-    np.multiply(grid, w, out=buf.reshape(-1)[:N])
+    for a, b, block in _row_blocks(buf, L2, 0, N):
+        np.multiply(values[a:b].reshape(block.shape), w[a:b].reshape(block.shape), out=block)
     _four_step(buf, twiddle, 0)
     buf *= kernel
     _four_step(buf, twiddle, 1)
-    np.multiply(buf.reshape(-1)[L - N + 1 : L - 2 * N + 1 : -1], w, out=grid)
+    # Lag j sits at point top - j: read points top-N+1..top backwards.
+    out = np.empty(N, dtype=complex)
+    top = L - N + 1
+    for a, b, block in _row_blocks(buf, L2, top - N + 1, top + 1):
+        j = slice(top + 1 - b, top + 1 - a)
+        np.multiply(block[::-1, ::-1], w[j].reshape(block.shape), out=out[j].reshape(block.shape))
+    return out
 
 
 def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
@@ -365,20 +415,26 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     Input and output are length-|L_N| arrays in the canonical point order
     (lexicographic tails); any numeric input dtype is taken, and one other
     than complex128 costs one complex |L_N| copy.  Equivalent to
-    simulate_sysnf_qft on the embedded state.  Shear and uncompute become one
-    gather through the inverse shear (:func:`unshear_slabs`), then one
-    in-place FFT follows; it is unitary, with 1/sqrt(|L_N|) applied inside
-    it.  Its memory is one complex |L_N| array (the output) plus slab-sized
-    temporaries, which is what the sampler requires for the large moduli
-    produced by basis reduction.  At n = 2 with a large prime
-    factor in N and a plan that fits ``_PLAN_BYTES`` (32 MiB, N up to about
-    420,000), the transform is the four-step chirp-z of :func:`_fft_in_place`
-    and adds a complex buffer of L points and a plan of N + 2L, L < 4N being the
-    smallest 2^a 3^b 5^c >= 2N - 1; plans of up to ``_PLAN_BYTES`` in all
-    stay cached between calls.  As N = |L_N| there, the |L_N| guard bounds
-    that scratch and fires before any of it is allocated.  Every other
-    transform runs in ``np.fft.fftn``, whose scratch is a few rows of N
-    points (for a prime N at n >= 3, pocketfft's Bluestein plan of about 2N).
+    simulate_sysnf_qft on the embedded state, and unitary, with 1/sqrt(|L_N|)
+    applied inside the transform.  Shear and uncompute become one gather
+    through the inverse shear (:func:`unshear_slabs`), then one in-place
+    ``np.fft.fftn`` follows.  Its memory is one complex |L_N| array (the
+    output) plus slab-sized temporaries and the FFT's scratch, a few rows of
+    N points (for a prime N at n >= 3, pocketfft's Bluestein plan of about
+    2N); this is what the sampler requires for the large moduli produced by
+    basis reduction.
+
+    At n = 2 the character is <x, z> = C t t' mod N on tails t, t', with
+    C = 1 + b^2, so the output is psi_j = N^-1/2 sum_t v_t exp(-2 pi i C j t / N):
+    a length-N DFT at ratio exp(-2 pi i C / N).  Where N has a large prime
+    factor and the plan fits ``_PLAN_BYTES`` (32 MiB, N up to about 420,000;
+    :func:`_chirp_split`), that is one chirp-z transform (Rabiner, Schafer and
+    Rader 1969) with the chirp w_k = exp(-i pi C k^2 / N) (:func:`_chirp_z`),
+    with no gather and no index.  It adds a complex buffer of L1 (L2 + 8) points, L = L1 L2 < 4N
+    being the smallest 2^a 3^b 5^c >= 2N - 1, and on a plan miss a plan of
+    N + 2 L1 (L2 + 8) points; plans of up to ``_PLAN_BYTES`` in all stay
+    cached between calls, keyed by (N, C).  As N = |L_N| there, the |L_N|
+    guard bounds that scratch and fires before any of it is allocated.
     """
     m = ln_size(s)
     values = np.asarray(values, dtype=complex)
@@ -387,12 +443,16 @@ def lattice_qft_values(s: SysNFBasis, values: np.ndarray) -> np.ndarray:
     # The compressed shear is a permutation only when valid; unshear_slabs
     # checks that lazily, so check here, before the output is allocated.
     s.condition_inverse()
+    split = _chirp_split(s.N) if s.n == 2 else None
+    if split:
+        return _chirp_z(values, *_chirp_plan(s.N, s.condition_sum % s.N, split))
     out = np.empty(m, dtype=complex)
     for lo, index in unshear_slabs(s):
         # The index lies in range(m) by construction; mode "raise" would stage
         # every slab in a copy of its output before writing it.
         np.take(values, index, out=out[lo : lo + len(index)], mode="clip")
-    _fft_in_place(out.reshape((s.N,) * (s.n - 1)))
+    grid = out.reshape((s.N,) * (s.n - 1))
+    np.fft.fftn(grid, out=grid, norm="ortho")
     return out
 
 

@@ -281,7 +281,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
 
     # Step 5: lattice DFT on the finite lattice through the circuit.
     psi4 = lattice_qft_values(s, acc)
-    probs = np.abs(psi4) ** 2
+    probs = np.abs(psi4)
+    probs *= probs
     total_prob = float(probs.sum())
     norm_defect = abs(total_prob - 1.0)
     if total_prob == 0:

@@ -355,9 +355,10 @@ class TestSample:
             }
         cfg = files / "bad_cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["sample", "--config", str(cfg)]) == 1
+        assert main(["sample", "--config", str(cfg), "--out", str(files / "bad_out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (files / "bad_out").exists()
 
     def test_spec_extra_key_refused(self, files, capsys):
         # A grid radius of 0.25 sampled fine when the key was read; a spec takes kind and s only.

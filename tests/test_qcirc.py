@@ -346,9 +346,10 @@ class TestCompressedPath:
     def test_working_set(self, monkeypatch, s):
         # Outputs of 2 MB and more: the output plus slab-sized temporaries and
         # the FFT scratch that numpy traces, with no room for an |L_N|-sized
-        # index (half the output).  The one-axis chirp-z transform adds its
-        # padded buffer of L complex points, and on a call that builds it a
-        # plan of N + 2L points: chirp, twiddle and kernel.  pocketfft's own
+        # index (half the output).  The n = 2 chirp-z transform adds its
+        # buffer of L complex points, and on a call that builds it a plan of
+        # N + 2L points: chirp, twiddle and kernel; their row pads, 8 points
+        # in each of L1 = 512 rows, fit in the 1 MiB slack.  pocketfft's own
         # scratch for the smooth lengths it is left with is not traced.
         vec = np.ones(s.N ** (s.n - 1), dtype=complex)
         assert vec.nbytes >= 2 * 10**6
@@ -364,7 +365,8 @@ class TestCompressedPath:
 
 
 def _plan_bytes(N: int) -> int:
-    return 16 * (N + 2 * qcirc._chirp_length(N))
+    L1, L2 = qcirc._chirp_split(N)
+    return 16 * (N + 2 * L1 * (L2 + qcirc._PAD))
 
 
 class TestChirpPlans:
@@ -379,16 +381,27 @@ class TestChirpPlans:
         return lattice_qft_values(s, np.random.default_rng(N).normal(size=2 * N).view(complex))
 
     def test_hit_and_miss_agree_bitwise(self):
+        # Plans are keyed by (N, C), C = 1 + b^2 mod N = 5 here.
         miss = self.transform(1999)
-        plan = qcirc._plans[1999]
+        plan = qcirc._plans[1999, 5]
+        assert sum(a.nbytes for a in plan) == _plan_bytes(1999)
         hit = self.transform(1999)
-        assert qcirc._plans[1999] is plan
+        assert qcirc._plans[1999, 5] is plan
         qcirc._plans.clear()
         assert miss.tobytes() == hit.tobytes() == self.transform(1999).tobytes()
 
+    def test_ratio_keys_its_own_plan(self):
+        # b = 2 and b = 3 give C = 5 and C = 10: two plans, each with its own chirp.
+        s = SysNFBasis(1999, (3,))
+        values = np.random.default_rng(1999).normal(size=2 * 1999).view(complex)
+        out = lattice_qft_values(s, values)
+        self.transform(1999)
+        assert list(qcirc._plans) == [(1999, 10), (1999, 5)]
+        assert out.tobytes() != self.transform(1999).tobytes()
+
     def test_cached_arrays_are_read_only(self):
         self.transform(1999)
-        for array in qcirc._plans[1999]:
+        for array in qcirc._plans[1999, 5]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -397,24 +410,38 @@ class TestChirpPlans:
     )
     def test_four_step_split(self, N, split):
         # L = L1 L2 with L1 the largest divisor of L not above sqrt(L); the
-        # twiddle and the kernel are both held as (L1, L2) arrays.
+        # twiddle and the kernel are both held as (L1, L2 + 8) arrays whose
+        # pad columns are zero.
         L = qcirc._chirp_length(N)
-        _, twiddle, kernel = qcirc._chirp_plan(N, L)
-        assert twiddle.shape == kernel.shape == split and split[0] * split[1] == L
+        assert qcirc._chirp_split(N) == split and split[0] * split[1] == L
         assert split[0] == max(d for d in range(1, math.isqrt(L) + 1) if L % d == 0)
+        _, twiddle, kernel = qcirc._chirp_plan(N, 5 % N, split)
+        assert twiddle.shape == kernel.shape == (split[0], split[1] + 8)
+        assert not twiddle[:, split[1] :].any() and not kernel[:, split[1] :].any()
+
+    def test_padded_rows_never_span_4_kib(self):
+        # Every 5-smooth L whose plan could fit _PLAN_BYTES (2 L points of
+        # 16 bytes at least) splits into rows of L2 points whose padded
+        # stride is not a multiple of 4 KiB, the period of the cache sets.
+        top = qcirc._PLAN_BYTES // 32
+        lengths = {2**i * 3**j * 5**k for i in range(21) for j in range(14) for k in range(10)}
+        for L in sorted(x for x in lengths if 50 <= x <= top):
+            L2 = L // max(d for d in range(1, math.isqrt(L) + 1) if L % d == 0)
+            assert 16 * (L2 + qcirc._PAD) % 4096
 
     def test_least_recently_used_evicted_and_oversized_not_kept(self, monkeypatch):
+        oversized_bytes = _plan_bytes(1999)
         monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(127) + _plan_bytes(211) - 1)
         self.transform(97)
         self.transform(127)
         self.transform(97)
-        assert list(qcirc._plans) == [127, 97]
+        assert list(qcirc._plans) == [(127, 5), (97, 5)]
         self.transform(211)
-        assert list(qcirc._plans) == [97, 211]
+        assert list(qcirc._plans) == [(97, 5), (211, 5)]
         # A length whose plan exceeds the budget goes to np.fft, bit for bit,
         # and neither builds a plan nor evicts one.
         monkeypatch.setattr(qcirc, "_PLAN_BYTES", _plan_bytes(97) + _plan_bytes(211))
-        assert _plan_bytes(1999) > qcirc._PLAN_BYTES
+        assert oversized_bytes > qcirc._PLAN_BYTES and qcirc._chirp_split(1999) is None
         kept = dict(qcirc._plans)
         oversized = self.transform(1999)
         assert qcirc._plans == kept and all(qcirc._plans[N] is kept[N] for N in kept)
