@@ -3,10 +3,9 @@
 Each criterion is a plain check returning ``(passed, details)``.
 ``ALL_CRITERIA`` is the one table of the battery: number, name, check and
 time budget per row.  :meth:`Criterion.run` times one row, turning an
-exception or an overrun budget into a failure, and ``run_all`` runs the rows
-in order.  The pytest acceptance module, the CLI tests and the ``latdft
-selftest`` subcommand all iterate that table.  Every random quantity is
-derived from fixed seeds.
+exception or an overrun budget into a failure.  The pytest acceptance
+module, the CLI tests and the ``latdft selftest`` subcommand all iterate
+that table.  Every random quantity is derived from fixed seeds.
 """
 
 from __future__ import annotations
@@ -290,12 +289,12 @@ def criterion_12_smoothness() -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class Criterion:
-    """One row of the battery; ``budget`` is (seconds, label), and a slower run fails."""
+    """One row of the battery; a run slower than ``budget`` seconds fails."""
 
     number: int
     name: str
     check: Callable[[], tuple[bool, str]]
-    budget: tuple[float, str] | None = None
+    budget: float | None = None
 
     def run(self) -> CriterionResult:
         t0 = time.perf_counter()
@@ -304,32 +303,22 @@ class Criterion:
         except Exception as exc:  # a crash is a failure, not an abort
             passed, details = False, f"exception: {exc!r}"
         seconds = time.perf_counter() - t0
-        if self.budget is not None and seconds > self.budget[0]:
-            passed, details = False, f"{details} (over {self.budget[1]} budget)"
+        if self.budget is not None and seconds > self.budget:
+            passed, details = False, f"{details} (over {self.budget:g}s budget)"
         return CriterionResult(self.number, self.name, passed, details, seconds)
 
 
 ALL_CRITERIA = [
-    Criterion(1, "unitarity", criterion_1_unitarity, (10, "10s")),
-    Criterion(2, "circuit equals dense transform", criterion_2_circuit_equivalence, (30, "30s")),
+    Criterion(1, "unitarity", criterion_1_unitarity, 10),
+    Criterion(2, "circuit equals dense transform", criterion_2_circuit_equivalence, 30),
     Criterion(3, "negative control N=4 b=(1)", criterion_3_negative_control),
     Criterion(4, "cardinalities", criterion_4_cardinalities),
     Criterion(5, "quotient-dual bijection", criterion_5_phi3_bijection),
     Criterion(6, "shift-phase conjugacy", criterion_6_shift_phase),
     Criterion(7, "fourth-power structure", criterion_7_fourth_power),
-    Criterion(8, "reduction contract", criterion_8_reduction_contract, (60, "60s")),
+    Criterion(8, "reduction contract", criterion_8_reduction_contract, 60),
     Criterion(9, "nearest-plane bound", criterion_9_nearest_plane_bound),
-    Criterion(10, "sampler PAC quality", criterion_10_sampler_pac, (300, "5min")),
+    Criterion(10, "sampler PAC quality", criterion_10_sampler_pac, 300),
     Criterion(11, "restriction identity", criterion_11_restriction_identity),
     Criterion(12, "smoothness estimator sanity", criterion_12_smoothness),
 ]
-
-
-def run_all(echo=None) -> list[CriterionResult]:
-    results = []
-    for criterion in ALL_CRITERIA:
-        res = criterion.run()
-        results.append(res)
-        if echo is not None:
-            echo(res.line())
-    return results

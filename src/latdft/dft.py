@@ -75,7 +75,8 @@ def dft_matrix(s: SysNFBasis) -> CharacterMatrix:
     if s.n == 1:  # L_N = {0}: F = [[1]] at any N, with no N-entry twiddle table
         return CharacterMatrix(s, np.ones((1, 1), dtype=complex))
     pts = ln_points(s)
-    phases = (pts @ pts.T) % s.N
+    phases = pts @ pts.T
+    phases %= s.N
     # Normalized once per twiddle rather than per matrix entry: the same division of each entry.
     twiddles = np.exp(-2j * np.pi * np.arange(s.N) / s.N) / np.sqrt(m)
     return CharacterMatrix(s, twiddles[phases])

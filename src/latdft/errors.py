@@ -23,7 +23,7 @@ class ConditionError(LatdftError):
     Carries the offending gcd in ``.gcd``.
     """
 
-    def __init__(self, message: str, gcd: int | None = None):
+    def __init__(self, message: str, gcd: int):
         super().__init__(message)
         self.gcd = gcd
 

@@ -464,10 +464,3 @@ def save_snapshot(psi: Statevector, path_base) -> None:
     base = Path(path_base)
     base.with_suffix(".bin").write_bytes(psi.amps.astype("<c16").tobytes())
     base.with_suffix(".json").write_text(json.dumps({"N": psi.N, "n": psi.n}))
-
-
-def load_snapshot(path_base) -> Statevector:
-    base = Path(path_base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    amps = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16").copy()
-    return Statevector(int(meta["N"]), int(meta["n"]), amps)

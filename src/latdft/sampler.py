@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,7 +47,8 @@ class QESSpec:
     """Amplitude oracle for a state preparable on the integer grid.
 
     ``amplitude`` maps a (points, n) float array of oracle arguments to one
-    amplitude per row; the sampler evaluates it once, on its scaled grid.
+    amplitude per row (any other shape is a ``ParameterError``); the sampler
+    evaluates it once, on its scaled grid.
     ``grid_radius`` declares the support radius in the oracle's own argument
     space: squared mass outside it is treated as negligible.
     """
@@ -181,8 +182,8 @@ class SampleResult:
     decode_mismatch_rate: float
     ancilla_residual: float
     norm_defect: float
-    grid_points: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    grid_points: int
+    diagnostics: dict
 
 
 def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> SampleResult:
@@ -237,6 +238,8 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # Coordinate-major from here on: each coordinate of u, y and x is one contiguous array.
     u = np.stack([col[keep] for col in u.T]).T
     amps = np.asarray(spec.amplitude(u.astype(float) * (t_scale / big_n)), dtype=complex)
+    if amps.shape != (len(u),):
+        raise ParameterError(f"spec amplitude has shape {amps.shape}, expected {(len(u),)}: one per grid point")
     total_mass = float((np.abs(amps) ** 2).sum())
     if not math.isfinite(total_mass):
         raise ParameterError("spec has non-finite squared mass on the prepared grid")

@@ -401,7 +401,11 @@ class TestSelftest:
         assert [number for number, _ in table] == list(range(1, 13))
         for c in summary["criteria"]:
             assert set(c) == {"number", "name", "passed", "details", "seconds"}
-        assert "summary written to" in capsys.readouterr().out
+        # One PASS line per row, in table order, then the summary path.
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(table) + 1 and lines[-1].startswith("summary written to")
+        for line, (number, name) in zip(lines, table):
+            assert line.startswith(f"[PASS] criterion {number:2d} ({name}): ")
 
     def test_failed_criterion_exit_three(self, tmp_path, monkeypatch):
         failing = acceptance.Criterion(1, "forced failure", lambda: (False, "forced"))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from latdft.qcirc import (
     dense_deviation,
     lattice_membership_mask,
     lattice_qft_values,
-    load_snapshot,
     qft_mod_n,
     save_snapshot,
     simulate_sysnf_qft,
@@ -455,9 +455,10 @@ class TestSnapshots:
         rng = np.random.default_rng(10)
         psi = random_state(rng, 5, 2)
         save_snapshot(psi, tmp_path / "state")
-        clone = load_snapshot(tmp_path / "state")
-        assert clone.N == 5 and clone.n == 2
-        assert np.array_equal(clone.amps, psi.amps)
+        # The documented format: little-endian complex128 amplitudes, N and n in the sidecar.
+        amps = np.frombuffer((tmp_path / "state.bin").read_bytes(), dtype="<c16")
+        assert json.loads((tmp_path / "state.json").read_text()) == {"N": 5, "n": 2}
+        assert np.array_equal(amps, psi.amps)
 
     def test_binary_layout(self, tmp_path):
         psi = basis_state(3, 1, (1,))

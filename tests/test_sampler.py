@@ -337,6 +337,29 @@ class TestSample:
         with pytest.raises(ParameterError), np.errstate(over="ignore"):
             sample(spec, ExactMatrix.identity(2), Fraction(1, 2), shots=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "amplitude",
+        [
+            lambda p: 1.0,
+            lambda p: np.ones((len(p), 1)),
+            lambda p: np.ones(len(p) - 1),
+        ],
+        ids=["scalar", "column", "one-short"],
+    )
+    def test_malformed_oracle_rejected(self, amplitude):
+        # One amplitude per grid point, or a ParameterError naming both shapes.
+        grid = []
+
+        def oracle(p):
+            grid.append(p)
+            return amplitude(p)
+
+        spec = QESSpec(amplitude=oracle, grid_radius=0.25)
+        with pytest.raises(ParameterError) as info:
+            sample(spec, ExactMatrix.identity(2), Fraction(1, 4), shots=1, seed=0)
+        (p,) = grid
+        assert f"shape {np.shape(amplitude(p))}, expected ({len(p)},)" in str(info.value)
+
     def test_sub_unit_support_flagged(self):
         # The whole declared support lies inside the unit ball of the oracle's
         # space, yet the prepared grid carries mass too wide to decode.
