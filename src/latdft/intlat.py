@@ -723,19 +723,30 @@ def integral_rows(m: ExactMatrix, rows: np.ndarray) -> np.ndarray:
     """m @ row for every int64 row, exactly; ValueError if any image is not integral.
 
     One common denominator D turns m into the integer matrix D m, and an
-    image is integral exactly when D divides it.  Raises SizeGuardError
-    unless every product provably fits int64.
+    image is integral exactly when D divides it.  Works per coordinate, as
+    ``nearest_plane_rows`` does: one dot product of the input columns and one
+    ``np.divmod`` by D per output column, and the result is stored
+    coordinate-major.  Raises SizeGuardError unless every product provably
+    fits int64.
     """
     den, md = m.integer_form()
     rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != m.ncols:
+        raise ValueError(f"rows must have length {m.ncols}")
     reach = max(_max_abs(rows), 1) * max(sum(abs(x) for x in row) for row in md)
     if max(reach, den) >= _INT64_LIMIT:
         raise SizeGuardError(f"rational images up to {reach} over {den} overflow int64")
-    images = rows @ np.array(md, dtype=np.int64).T
-    bad = np.flatnonzero((images % den).any(axis=1))
+    cols = np.ascontiguousarray(rows.T)  # row k: coordinate k of every row, contiguous
+    images = np.empty((m.nrows, len(rows)), dtype=np.int64)
+    rem = np.empty(len(rows), dtype=np.int64)
+    ragged = np.zeros(len(rows), dtype=bool)
+    for image, coeffs in zip(images, md):
+        np.divmod(_column_dot(coeffs, cols), den, out=(image, rem))
+        ragged |= rem != 0
+    bad = np.flatnonzero(ragged)
     if len(bad):
         raise ValueError(f"{tuple(rows[bad[0]].tolist())} has a non-integral image")
-    return images // den
+    return images.T
 
 
 def voronoi_relevant(b: ExactMatrix) -> np.ndarray:

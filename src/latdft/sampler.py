@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,6 +41,8 @@ from .sysnf import ReductionCertificate, ln_index, ln_size, phi3, reduce_to_sysn
 
 CARRYING_MASS = 1e-12
 PRUNE_MASS = 1e-13
+# int64 squared distances per block in pac_distance: 1 MiB, and as much again for one coordinate's differences.
+PAC_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -73,20 +76,28 @@ def gaussian_spec(s: float, grid_radius: float) -> QESSpec:
     return QESSpec(amplitude=amp, grid_radius=float(grid_radius))
 
 
-@dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite distribution over integer lattice vectors."""
+    """Finite distribution over integer lattice vectors.
 
-    points: tuple[tuple[int, ...], ...]
-    probs: np.ndarray
+    ``from_sorted_rows`` holds the support as int64 rows in strictly
+    increasing lexicographic order and builds no tuple: ``points``, the same
+    support as tuples of Python ints, is built on its first read and kept.
+    ``DiscreteDistribution(points, probs)`` keeps the points it is given, in
+    their order.
+    """
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[tuple[int, ...], ...], probs: np.ndarray):
+        if len(set(points)) != len(points):
             raise ValueError("support points must be pairwise distinct")
-        self._check_probs()
+        self.points, self.probs, self._rows = points, probs, None
+        self._check_probs(len(points))
 
-    def _check_probs(self):
-        if len(self.points) != len(self.probs):
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self._rows.T.tolist()))
+
+    def _check_probs(self, count: int):
+        if count != len(self.probs):
             raise ValueError("points/probs length mismatch")
         if not np.isfinite(self.probs).all():
             raise ValueError("non-finite probability")
@@ -97,16 +108,24 @@ class DiscreteDistribution:
 
     @classmethod
     def from_sorted_rows(cls, rows: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
-        """The distribution on int64 rows in strictly increasing lexicographic order, hashing no point."""
+        """The distribution on int64 rows in strictly increasing lexicographic order, kept as they are."""
         ahead, tied = np.zeros(max(len(rows) - 1, 0), dtype=bool), True
         for col in rows.T:
             ahead, tied = ahead | tied & (col[1:] > col[:-1]), tied & (col[1:] == col[:-1])
         if not ahead.all():
             raise ValueError("rows must be strictly increasing in lexicographic order")
-        dist = object.__new__(cls)  # skips __post_init__, which would hash every point
-        dist.__dict__.update(points=tuple(zip(*rows.T.tolist())), probs=probs)
-        dist._check_probs()
+        dist = object.__new__(cls)  # skips __init__, which hashes every point
+        dist.probs, dist._rows = probs, rows
+        dist._check_probs(len(rows))
         return dist
+
+    def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as int64 rows in lexicographic order, and their probabilities."""
+        if self._rows is not None:
+            return self._rows, self.probs
+        rows = np.array(self.points, dtype=np.int64)
+        order = np.lexsort(rows.T[::-1])
+        return rows[order], self.probs[order]
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {p: float(q) for p, q in zip(self.points, self.probs)}
@@ -151,25 +170,56 @@ def pac_distance(
     lies within ``match_radius``, which must be finite and non-negative, and
     otherwise stays put; no point's destination depends on another point, and
     ``math.fsum`` makes every sum independent of the order points are listed in.
+    Works on the int64 rows of both supports: exact matches come from one
+    stable sort of both, and the squared distances from off-support points
+    to the target are taken in blocks of about ``PAC_BLOCK`` entries (one
+    row each past that many target points).  Raises SizeGuardError unless
+    every squared distance provably fits int64.
     """
     if not 0 <= match_radius < math.inf:
         raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
-    tgt = target.as_dict()
-    tgt_pts = np.array(target.points, dtype=np.int64)
-    rad_sq = Fraction(match_radius) ** 2
-    relocated: dict[tuple[int, ...], list[float]] = {}
+    tgt, tgt_probs = target._sorted_rows()
+    obs, obs_probs = observed._sorted_rows()
+    span = max(int(obs.max()), int(tgt.max())) - min(int(obs.min()), int(tgt.min()))
+    if tgt.shape[1] * span * span >= 2**63:
+        raise SizeGuardError(f"squared distances up to {tgt.shape[1] * span * span} overflow int64")
+    # In a stable sort of target then observed rows, an observed row equal to a
+    # target row comes right after it; within one support no two rows are equal.
+    both = np.concatenate([tgt, obs])
+    order = np.lexsort(both.T[::-1])
+    equal = np.logical_and.reduce([col[order[1:]] == col[order[:-1]] for col in both.T])
+    dest = np.full(len(obs), -1, dtype=np.intp)
+    dest[order[1:][equal] - len(tgt)] = order[:-1][equal]
+    # An integer d^2 is at most r^2 exactly when it is at most floor(r^2).
+    limit = min(math.floor(Fraction(match_radius) ** 2), 2**63 - 1)
     max_disp_sq = 0
-    for p, mass in zip(observed.points, observed.probs.tolist()):
-        if p not in tgt:
-            diffs = tgt_pts - np.array(p, dtype=np.int64)
-            d2 = (diffs * diffs).sum(axis=1)
-            j = min(np.flatnonzero(d2 == d2.min()).tolist(), key=target.points.__getitem__)
-            if int(d2[j]) <= rad_sq:
-                p = target.points[j]
-                max_disp_sq = max(max_disp_sq, int(d2[j]))
-        relocated.setdefault(p, []).append(mass)
-    l1 = math.fsum(abs(math.fsum(relocated.get(p, ())) - tgt.get(p, 0.0)) for p in set(relocated) | set(tgt))
-    return 0.5 * l1, math.sqrt(max_disp_sq)
+    off = np.flatnonzero(dest < 0)
+    step = max(1, PAC_BLOCK // len(tgt))
+    d2_block, diff_block = np.empty((2, min(step, len(off)), len(tgt)), dtype=np.int64)  # reused by every block
+    for start in range(0, len(off), step):
+        idx = off[start : start + step]
+        d2, diff = d2_block[: len(idx)], diff_block[: len(idx)]
+        d2.fill(0)
+        for o, t in zip(obs[idx].T, tgt.T):
+            np.subtract.outer(o, t, out=diff)
+            d2 += np.multiply(diff, diff, out=diff)
+        j = d2.argmin(axis=1)  # the first nearest of the sorted target: the smallest
+        near = d2[np.arange(len(idx)), j]
+        moved = near <= limit
+        dest[idx[moved]] = j[moved]
+        if moved.any():
+            max_disp_sq = max(max_disp_sq, int(near[moved].max()))
+    landed = dest >= 0
+    order = np.argsort(dest[landed])
+    into, masses = dest[landed][order], obs_probs[landed][order]
+    gathered = np.zeros(len(tgt))
+    gathered[into] = masses
+    # Where several masses land on one target point, their sum is exactly rounded.
+    starts = np.flatnonzero(np.r_[True, into[1:] != into[:-1], True])
+    for k in np.flatnonzero(np.diff(starts) > 1).tolist():
+        gathered[into[starts[k]]] = math.fsum(masses[starts[k] : starts[k + 1]].tolist())
+    gaps = np.concatenate([np.abs(gathered - tgt_probs), np.abs(obs_probs[~landed])])
+    return 0.5 * math.fsum(gaps.tolist()), math.sqrt(max_disp_sq)
 
 
 @dataclass(frozen=True)
@@ -296,22 +346,26 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
     # heaviest point always survives.
     keep_idx = np.flatnonzero(probs >= PRUNE_MASS * total_prob / len(probs))
     kept = probs[keep_idx] / probs[keep_idx].sum()
-    # The kept rows of ln_points(s): x_1 = b . tail mod N for the kept tails only.
-    tails = np.column_stack(np.unravel_index(keep_idx, (big_n,) * (n - 1)))
-    w = np.column_stack([tails @ np.array(s.b, dtype=np.int64) % big_n, tails])
+    # The kept rows of ln_points(s), coordinate-major: x_1 = b . tail mod N for the kept tails only.
+    w = np.empty((n, len(keep_idx)), dtype=np.int64)
+    w[1:] = np.unravel_index(keep_idx, (big_n,) * (n - 1))
+    w[0] = np.array(s.b, dtype=np.int64) @ w[1:] % big_n
     # Centred representatives in (-N/2, N/2] go through sigma^-1 and must land in L(B).
-    points = integral_rows(cert.sigma_inverse, np.where(w > big_n // 2, w - big_n, w))
+    w[w > big_n // 2] -= big_n
+    points = integral_rows(cert.sigma_inverse, w.T)
     try:
         integral_rows(b.inverse(), points)
     except ValueError as exc:
         raise RuntimeError(f"support point escaped the input lattice: {exc}") from exc
     order = np.lexsort(points.T[::-1])
-    dist = DiscreteDistribution.from_sorted_rows(points[order], kept[order])
+    rows = points.T[:, order].T
+    dist = DiscreteDistribution.from_sorted_rows(rows, kept[order])
 
+    # Draws on the rows: only the drawn points become tuples.
     rng = np.random.default_rng(seed)
-    if shots and len(dist.points):
-        draws = rng.choice(len(dist.points), size=shots, p=dist.probs / dist.probs.sum())
-        samples = list(map(dist.points.__getitem__, draws.tolist()))
+    if shots:
+        draws = rng.choice(len(rows), size=shots, p=dist.probs / dist.probs.sum())
+        samples = list(zip(*rows[draws].T.tolist()))
     else:
         samples = []
 
@@ -329,7 +383,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
             "relevant_vectors": len(relevant),
             "off_cell_points": int(off_cell.sum()),
             "ancilla_points": int((~tag_ok).sum()),
-            "support_points": len(dist.points),
+            "support_points": len(rows),
         },
     )
 

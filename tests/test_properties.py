@@ -705,6 +705,7 @@ def test_row_kernels_ignore_memory_layout(b, s, data):
         (rows, lambda r: in_voronoi_cell(relevant, r)),
         (points, lambda r: phi3(s, r)),
         (points, lambda r: ln_membership(s, r)),
+        (rows, lambda r: integral_rows(b, r)),
     ]:
         for view in _layouts(base):
             got, want = kernel(view), kernel(np.ascontiguousarray(view))

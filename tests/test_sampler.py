@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from latdft import intlat, sampler
 from latdft.errors import ParameterError, RankError, SizeGuardError, ZeroMassError
-from latdft.intlat import ExactMatrix, lambda1_sq, membership
+from latdft.intlat import ExactMatrix, lambda1_sq, lex_box, membership
 from latdft.sampler import (
     DiscreteDistribution,
     QESSpec,
@@ -24,6 +27,59 @@ B_ACCEPT = ExactMatrix([[2, 1], [0, 1]])
 
 def target_gaussian(s):
     return lambda p: math.exp(-math.pi * sum(c * c for c in p) / (2 * s * s))
+
+
+def pac_distance_loop(observed, target, match_radius):
+    """The scalar reference for pac_distance: one observed point at a time, over the point tuples."""
+    if not 0 <= match_radius < math.inf:
+        raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
+    tgt = target.as_dict()
+    tgt_pts = np.array(target.points, dtype=np.int64)
+    rad_sq = Fraction(match_radius) ** 2
+    relocated: dict[tuple[int, ...], list[float]] = {}
+    max_disp_sq = 0
+    for p, mass in zip(observed.points, observed.probs.tolist()):
+        if p not in tgt:
+            diffs = tgt_pts - np.array(p, dtype=np.int64)
+            d2 = (diffs * diffs).sum(axis=1)
+            j = min(np.flatnonzero(d2 == d2.min()).tolist(), key=target.points.__getitem__)
+            if int(d2[j]) <= rad_sq:
+                p = target.points[j]
+                max_disp_sq = max(max_disp_sq, int(d2[j]))
+        relocated.setdefault(p, []).append(mass)
+    l1 = math.fsum(abs(math.fsum(relocated.get(p, ())) - tgt.get(p, 0.0)) for p in set(relocated) | set(tgt))
+    return 0.5 * l1, math.sqrt(max_disp_sq)
+
+
+def _distribution(points, weights, sorted_rows):
+    """From distinct tuples as listed (the public constructor) or from their sorted rows."""
+    probs = np.array(weights, dtype=float) / sum(weights)
+    if not sorted_rows:
+        return DiscreteDistribution(tuple(points), probs)
+    rows = np.array(points, dtype=np.int64)
+    order = np.lexsort(rows.T[::-1])
+    return DiscreteDistribution.from_sorted_rows(rows[order], probs[order])
+
+
+@st.composite
+def overlapping_supports(draw):
+    """Observed and target supports in a small box: some points shared, some not, many equidistant."""
+    n = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(-3, 3)] * n)
+    target = draw(st.lists(point, min_size=1, max_size=25, unique=True))
+    shared = draw(st.lists(st.sampled_from(target), max_size=len(target), unique=True))
+    own = draw(st.lists(point.filter(lambda p: p not in target), max_size=25, unique=True))
+    observed = draw(st.permutations(shared + own).filter(len))
+    weight = st.integers(0, 1000)
+    sides = []
+    for points in (observed, target):
+        weights = draw(st.lists(weight, min_size=len(points), max_size=len(points)).filter(any))
+        sides.append(_distribution(points, weights, draw(st.booleans())))
+    return tuple(sides)
+
+
+# Radii whose square is a lattice distance d^2 (1, 4, 9), below 1, arbitrary, and square roots of integers.
+match_radii = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0, 6) | st.integers(0, 30).map(math.sqrt)
 
 
 class TestGaussianSpec:
@@ -143,6 +199,54 @@ class TestPacDistance:
             results.append(pac_distance(DiscreteDistribution(points, np.array(probs)), tgt, 1.0))
         assert results[0] == results[1] == (0.4, 1.0)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(overlapping_supports(), match_radii)
+    @example(  # (0, 0) is at distance 1 from four target points; d^2 = r^2
+        (
+            _distribution([(0, 0), (2, 0)], [1, 1], False),
+            _distribution([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 2, 3, 4], False),
+        ),
+        1.0,
+    )
+    @example(  # d^2 = 11 lies just above the exact square of the float sqrt(11), whose float square is 11.0
+        (
+            _distribution([(0, 0, 0)], [1], False),
+            _distribution([(3, 1, 1), (3, 3, 3)], [1, 1], True),
+        ),
+        math.sqrt(11),
+    )
+    def test_matches_scalar_loop(self, supports, radius):
+        observed, target = supports
+        got, want = pac_distance(observed, target, radius), pac_distance_loop(observed, target, radius)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_off_support_scratch_is_bounded(self):
+        # 5,000 observed points, none on the 5,000-point target and each at distance 1
+        # from up to four of its points: the distances go through bounded blocks,
+        # not one 200 MB observed-by-target array.
+        box = lex_box([(-50, 49)] * 2)
+        even = box.sum(axis=1) % 2 == 0
+        obs = DiscreteDistribution.from_sorted_rows(box[~even], np.full(5000, 1 / 5000))
+        tgt = DiscreteDistribution.from_sorted_rows(box[even], np.full(5000, 1 / 5000))
+        tracemalloc.start()
+        try:
+            tv, disp = pac_distance(obs, tgt, match_radius=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert disp == 1.0 and (tv, disp) == pac_distance_loop(obs, tgt, 1.0)
+
+    def test_int64_guard(self):
+        # Coordinates 2^31 - 1 apart in two dimensions fit int64; 2^32 apart, whose
+        # squared distance 2^65 would wrap, are refused.
+        near = DiscreteDistribution(((2**30, 0),), np.array([1.0]))
+        far = DiscreteDistribution(((1 - 2**30, 0),), np.array([1.0]))
+        assert pac_distance(near, far, match_radius=1.0) == (1.0, 0.0)
+        with pytest.raises(SizeGuardError, match="squared distances"):
+            pac_distance(DiscreteDistribution(((2**31, 2**31),), np.array([1.0])),
+                         DiscreteDistribution(((-(2**31), -(2**31)),), np.array([1.0])), 1.0)
+
     @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
     def test_bad_radius_rejected(self, radius):
         # -1.0 would act as 1.0 once squared; NaN and inf cannot become a Fraction.
@@ -220,6 +324,17 @@ class TestDiscreteDistribution:
             want = DiscreteDistribution(tuple(map(tuple, rows.tolist())), dist.probs)
             assert repr(got.points) == repr(want.points)  # Python ints, not numpy scalars
             assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_support_tuples_built_on_first_read(self):
+        spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
+        res = sample(spec, B_ACCEPT, Fraction(1, 8), shots=64, seed=1)
+        dist = res.distribution
+        assert "points" not in vars(dist)  # sample() built no tuple per support point
+        points = dist.points
+        assert dist.points is points
+        assert list(points) == sorted(set(points)) and len(points) == len(dist.probs)
+        assert {type(c) for p in points + tuple(res.samples) for c in p} == {int}
+        assert set(res.samples) <= set(points)
 
     def test_brute_force_target_rejects_nan_density(self):
         for bad in (math.nan, math.inf, -math.inf):
