@@ -79,56 +79,59 @@ def gaussian_spec(s: float, grid_radius: float) -> QESSpec:
 class DiscreteDistribution:
     """Finite distribution over integer lattice vectors.
 
-    ``from_sorted_rows`` holds the support as int64 rows in strictly
-    increasing lexicographic order and builds no tuple: ``points``, the same
-    support as tuples of Python ints, is built on its first read and kept.
-    ``DiscreteDistribution(points, probs)`` keeps the points it is given, in
-    their order.
+    The support is held as int64 rows in strictly increasing lexicographic
+    order, with ``probs`` in the same order, whatever order the points were
+    given in; ``points``, the same support as tuples of Python ints, is built
+    on its first read and kept.
     """
 
-    def __init__(self, points: tuple[tuple[int, ...], ...], probs: np.ndarray):
-        if len(set(points)) != len(points):
+    def __init__(self, points: Sequence[Sequence[int]] | np.ndarray, probs: np.ndarray):
+        if len(points) != len(probs):
+            raise ValueError("points/probs length mismatch")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability")
+        if np.any(probs < 0):
+            raise ValueError("negative probability")
+        if abs(float(probs.sum()) - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+        try:
+            rows = np.asarray(points, dtype=np.int64)
+        except OverflowError:
+            raise SizeGuardError("support coordinates must fit int64") from None
+        order = np.lexsort(rows.T[::-1])
+        self._rows, self.probs = rows[order], probs[order]
+        if (self._rows[1:] == self._rows[:-1]).all(axis=1).any():
             raise ValueError("support points must be pairwise distinct")
-        self.points, self.probs, self._rows = points, probs, None
-        self._check_probs(len(points))
 
     @cached_property
     def points(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self._rows.T.tolist()))
 
-    def _check_probs(self, count: int):
-        if count != len(self.probs):
-            raise ValueError("points/probs length mismatch")
-        if not np.isfinite(self.probs).all():
-            raise ValueError("non-finite probability")
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
-
-    @classmethod
-    def from_sorted_rows(cls, rows: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
-        """The distribution on int64 rows in strictly increasing lexicographic order, kept as they are."""
-        ahead, tied = np.zeros(max(len(rows) - 1, 0), dtype=bool), True
-        for col in rows.T:
-            ahead, tied = ahead | tied & (col[1:] > col[:-1]), tied & (col[1:] == col[:-1])
-        if not ahead.all():
-            raise ValueError("rows must be strictly increasing in lexicographic order")
-        dist = object.__new__(cls)  # skips __init__, which hashes every point
-        dist.probs, dist._rows = probs, rows
-        dist._check_probs(len(rows))
-        return dist
-
-    def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support as int64 rows in lexicographic order, and their probabilities."""
-        if self._rows is not None:
-            return self._rows, self.probs
-        rows = np.array(self.points, dtype=np.int64)
-        order = np.lexsort(rows.T[::-1])
-        return rows[order], self.probs[order]
-
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {p: float(q) for p, q in zip(self.points, self.probs)}
+
+
+def _ball_target(b: ExactMatrix, radius: float, amplitude: Callable[[np.ndarray], np.ndarray]) -> DiscreteDistribution:
+    """P(x) proportional to |amplitude(x)|^2 over the lattice points within the radius.
+
+    The coefficient box is derived from the rows of the basis inverse, so
+    every lattice point inside the ball is visited; ``amplitude`` maps their
+    int64 rows to one amplitude each.
+    """
+    if not b.is_integer():
+        raise ParameterError("target enumeration expects an integer basis")
+    origin = (0,) * b.ncols
+    pts, _ = scaled_offsets(b, box_points(b, origin, radius), origin)
+    pts = pts[(pts.astype(float) ** 2).sum(axis=1) <= float(radius) ** 2 + 1e-12]
+    if len(pts) == 0:
+        raise ZeroMassError("no lattice points inside the box")
+    weights = np.abs(amplitude(pts)) ** 2
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite weight")
+    total = math.fsum(weights.tolist())  # exactly rounded: no dependence on the enumeration order
+    if total == 0:
+        raise ZeroMassError("target density vanishes on the box")
+    return DiscreteDistribution(pts, weights / total)
 
 
 def brute_force_target(
@@ -136,26 +139,10 @@ def brute_force_target(
 ) -> DiscreteDistribution:
     """P(x) proportional to |f(x)|^2 over lattice points within the radius.
 
-    Enumeration oracle: the coefficient box is derived from the rows of the
-    basis inverse, so every lattice point inside the ball is visited.
+    Enumeration oracle: ``f`` is called once per lattice point of the ball,
+    on a tuple of Python ints.
     """
-    if not b.is_integer():
-        raise ParameterError("target enumeration expects an integer basis")
-    origin = (0,) * b.ncols
-    coeffs = box_points(b, origin, box_radius)
-    pts, _ = scaled_offsets(b, coeffs, origin)
-    keep = (pts.astype(float) ** 2).sum(axis=1) <= float(box_radius) ** 2 + 1e-12
-    pts = pts[keep]
-    if len(pts) == 0:
-        raise ZeroMassError("no lattice points inside the box")
-    rows = pts[np.lexsort(pts.T[::-1])]
-    weights = np.array([abs(f(p)) ** 2 for p in zip(*rows.T.tolist())], dtype=float)
-    if not np.isfinite(weights).all():
-        raise ValueError("non-finite weight")
-    total = weights.sum()
-    if total == 0:
-        raise ZeroMassError("target density vanishes on the box")
-    return DiscreteDistribution.from_sorted_rows(rows, weights / total)
+    return _ball_target(b, box_radius, lambda pts: np.array([f(p) for p in zip(*pts.T.tolist())]))
 
 
 def pac_distance(
@@ -178,8 +165,8 @@ def pac_distance(
     """
     if not 0 <= match_radius < math.inf:
         raise ParameterError(f"match radius must be finite and non-negative, got {match_radius!r}")
-    tgt, tgt_probs = target._sorted_rows()
-    obs, obs_probs = observed._sorted_rows()
+    tgt, tgt_probs = target._rows, target.probs
+    obs, obs_probs = observed._rows, observed.probs
     span = max(int(obs.max()), int(tgt.max())) - min(int(obs.min()), int(tgt.min()))
     if tgt.shape[1] * span * span >= 2**63:
         raise SizeGuardError(f"squared distances up to {tgt.shape[1] * span * span} overflow int64")
@@ -357,17 +344,11 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
         integral_rows(b.inverse(), points)
     except ValueError as exc:
         raise RuntimeError(f"support point escaped the input lattice: {exc}") from exc
-    order = np.lexsort(points.T[::-1])
-    rows = points.T[:, order].T
-    dist = DiscreteDistribution.from_sorted_rows(rows, kept[order])
+    dist = DiscreteDistribution(points, kept)
 
     # Draws on the rows: only the drawn points become tuples.
-    rng = np.random.default_rng(seed)
-    if shots:
-        draws = rng.choice(len(rows), size=shots, p=dist.probs / dist.probs.sum())
-        samples = list(zip(*rows[draws].T.tolist()))
-    else:
-        samples = []
+    draws = np.random.default_rng(seed).choice(len(dist.probs), size=shots, p=dist.probs / dist.probs.sum())
+    samples = list(zip(*dist._rows[draws].T.tolist()))
 
     return SampleResult(
         samples=samples,
@@ -383,7 +364,7 @@ def sample(spec: QESSpec, b: ExactMatrix, epsilon, shots: int, seed: int) -> Sam
             "relevant_vectors": len(relevant),
             "off_cell_points": int(off_cell.sum()),
             "ancilla_points": int((~tag_ok).sum()),
-            "support_points": len(rows),
+            "support_points": len(dist.probs),
         },
     )
 
@@ -392,14 +373,14 @@ def sample_gaussian(b: ExactMatrix, s: float, epsilon, shots: int, seed: int) ->
     """The Gaussian experiment: sample P(x) ~ exp(-pi ||x||^2 / s^2) on L(b), score it by brute force.
 
     The oracle is the target's transform, a width-1/(2s) Gaussian on a grid of
-    radius 6/(2s); the target is f(x) = exp(-pi ||x||^2 / (2 s^2)) within
-    radius 6s.  Returns the result and (tv, max displacement) at match radius
-    epsilon.
+    radius 6/(2s); the target is the width-s ``gaussian_spec`` on the lattice
+    points within radius 6s.  Returns the result and (tv, max displacement) at
+    match radius epsilon.
     """
     if not 0 < s < math.inf:
         raise ParameterError(f"target width must satisfy 0 < s < inf, got {s!r}")
     s_f = 1 / (2 * s)
     result = sample(gaussian_spec(s_f, grid_radius=6 * s_f), b, epsilon, shots=shots, seed=seed)
-    target = brute_force_target(lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s**2)), b, 6 * s)
+    target = _ball_target(b, 6 * s, gaussian_spec(s, grid_radius=6 * s).amplitude)
     tv, disp = pac_distance(result.distribution, target, match_radius=float(Fraction(epsilon)))
     return result, tv, disp

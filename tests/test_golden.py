@@ -8,7 +8,11 @@ vectors, before the Voronoi-cell test; the ``reduction`` entries were
 recorded from the reduction that rebuilt H^-1 and its row-norm bounds at
 every scale, before they were computed once per call.  ``golden_sample/``
 holds the artefacts of ``latdft sample`` on the README's example config at
-100 shots, recorded before the acceptance battery became one table.  These tests make
+100 shots, recorded before the acceptance battery became one table; its
+``tv_distance`` was re-recorded to the last bit once ``pac_distance`` summed
+with ``math.fsum`` in any listing order (the old value differed in the
+seventeenth significant digit, inside the 1e-12 comparison, which stays
+because CI runs more than one numpy).  These tests make
 "bit-identical for fixed seeds" a checked property: support points and draws
 must match exactly, probabilities to 1e-15, mismatch rates exactly, the exact
 CVP / first-minimum values must be equal as rationals, reduction

@@ -51,14 +51,9 @@ def pac_distance_loop(observed, target, match_radius):
     return 0.5 * l1, math.sqrt(max_disp_sq)
 
 
-def _distribution(points, weights, sorted_rows):
-    """From distinct tuples as listed (the public constructor) or from their sorted rows."""
-    probs = np.array(weights, dtype=float) / sum(weights)
-    if not sorted_rows:
-        return DiscreteDistribution(tuple(points), probs)
-    rows = np.array(points, dtype=np.int64)
-    order = np.lexsort(rows.T[::-1])
-    return DiscreteDistribution.from_sorted_rows(rows[order], probs[order])
+def _distribution(points, weights):
+    """From distinct tuples, as listed."""
+    return DiscreteDistribution(tuple(points), np.array(weights, dtype=float) / sum(weights))
 
 
 @st.composite
@@ -74,7 +69,7 @@ def overlapping_supports(draw):
     sides = []
     for points in (observed, target):
         weights = draw(st.lists(weight, min_size=len(points), max_size=len(points)).filter(any))
-        sides.append(_distribution(points, weights, draw(st.booleans())))
+        sides.append(_distribution(points, weights))
     return tuple(sides)
 
 
@@ -203,15 +198,15 @@ class TestPacDistance:
     @given(overlapping_supports(), match_radii)
     @example(  # (0, 0) is at distance 1 from four target points; d^2 = r^2
         (
-            _distribution([(0, 0), (2, 0)], [1, 1], False),
-            _distribution([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 2, 3, 4], False),
+            _distribution([(0, 0), (2, 0)], [1, 1]),
+            _distribution([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 2, 3, 4]),
         ),
         1.0,
     )
     @example(  # d^2 = 11 lies just above the exact square of the float sqrt(11), whose float square is 11.0
         (
-            _distribution([(0, 0, 0)], [1], False),
-            _distribution([(3, 1, 1), (3, 3, 3)], [1, 1], True),
+            _distribution([(0, 0, 0)], [1]),
+            _distribution([(3, 1, 1), (3, 3, 3)], [1, 1]),
         ),
         math.sqrt(11),
     )
@@ -226,8 +221,8 @@ class TestPacDistance:
         # not one 200 MB observed-by-target array.
         box = lex_box([(-50, 49)] * 2)
         even = box.sum(axis=1) % 2 == 0
-        obs = DiscreteDistribution.from_sorted_rows(box[~even], np.full(5000, 1 / 5000))
-        tgt = DiscreteDistribution.from_sorted_rows(box[even], np.full(5000, 1 / 5000))
+        obs = DiscreteDistribution(box[~even], np.full(5000, 1 / 5000))
+        tgt = DiscreteDistribution(box[even], np.full(5000, 1 / 5000))
         tracemalloc.start()
         try:
             tv, disp = pac_distance(obs, tgt, match_radius=1.0)
@@ -261,6 +256,32 @@ class TestSampleGaussian:
     def test_bad_width_rejected(self, s):
         with pytest.raises(ParameterError, match="target width"):
             sample_gaussian(B_ACCEPT, s, Fraction(1, 16), shots=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "b, s, epsilon",
+        [
+            # Selftest criterion 10: s = 2^(n/2 + 2) sqrt(n) lambda_1 = 16 on the acceptance basis.
+            (B_ACCEPT, 2**3 * 2**0.5 * float(lambda1_sq(B_ACCEPT)) ** 0.5, Fraction(1, 16)),
+            (ExactMatrix.identity(2), 4.0, Fraction(1, 4)),
+        ],
+    )
+    def test_target_is_the_per_point_gaussian(self, monkeypatch, b, s, epsilon):
+        # The target comes from gaussian_spec's array oracle; it equals the per-point
+        # density on the same ball, bit for bit, and so does the score against it.
+        targets = []
+
+        def spy(observed, target, match_radius):
+            targets.append(target)
+            return pac_distance(observed, target, match_radius)
+
+        monkeypatch.setattr(sampler, "pac_distance", spy)
+        res, tv, disp = sample_gaussian(b, s, epsilon, shots=0, seed=1)
+        want = brute_force_target(lambda p: np.exp(-np.pi * sum(c * c for c in p) / (2 * s**2)), b, 6 * s)
+        (got,) = targets
+        assert repr(got.points) == repr(want.points)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        want_tv, want_disp = pac_distance(res.distribution, want, match_radius=float(epsilon))
+        assert (tv.hex(), disp) == (want_tv.hex(), want_disp)
 
 
 class TestPhasePath:
@@ -302,25 +323,58 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="non-finite probability"):
             DiscreteDistribution(((0, 0), (1, 0)), np.array([1.0, bad]))
 
-    @pytest.mark.parametrize(
-        "rows", [[[0, 1], [0, 0]], [[1, 0], [0, 5]], [[0, 0], [0, 0]], [[-1, 2], [3, 0], [3, 0]]]
-    )
-    def test_sorted_rows_rejects_unsorted_or_repeated(self, rows):
+    @pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 0], [0, 5]]])
+    def test_unsorted_rows_come_back_sorted(self, rows):
+        probs = np.array([0.25, 0.75])
+        for points in (np.array(rows, dtype=np.int64), tuple(map(tuple, rows))):
+            dist = DiscreteDistribution(points, probs)
+            assert dist.points == tuple(map(tuple, rows[::-1]))
+            assert dist.probs.tolist() == [0.75, 0.25]
+            assert dist.as_dict() == {(*rows[0],): 0.25, (*rows[1],): 0.75}
+
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[3, 0], [-1, 2], [3, 0]]])
+    def test_repeated_rows_rejected(self, rows):
         probs = np.full(len(rows), 1 / len(rows))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            DiscreteDistribution.from_sorted_rows(np.array(rows, dtype=np.int64), probs)
+        for points in (np.array(rows, dtype=np.int64), tuple(map(tuple, rows))):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                DiscreteDistribution(points, probs)
 
     def test_sorted_rows_checks_probabilities(self):
         with pytest.raises(ValueError, match="sum to"):
-            DiscreteDistribution.from_sorted_rows(np.array([[0, 0], [0, 1]], dtype=np.int64), np.array([0.9, 0.2]))
+            DiscreteDistribution(np.array([[0, 1], [0, 0]], dtype=np.int64), np.array([0.9, 0.2]))
         with pytest.raises(ValueError, match="length mismatch"):
-            DiscreteDistribution.from_sorted_rows(np.array([[0, 0]], dtype=np.int64), np.array([0.5, 0.5]))
+            DiscreteDistribution(np.array([[0, 0]], dtype=np.int64), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1])
+    def test_coordinates_past_int64_refused(self, big):
+        with pytest.raises(SizeGuardError, match="int64"):
+            DiscreteDistribution(((0, 0), (big, 1)), np.array([0.5, 0.5]))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_any_listing_gives_the_same_distribution(self, data):
+        n = data.draw(st.integers(1, 3))
+        coord = st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+        points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=30, unique=True))
+        weights = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=len(points), max_size=len(points))))
+        probs = weights / weights.sum()
+        perm = np.array(data.draw(st.permutations(range(len(points)))), dtype=np.intp)
+        listed = [points[i] for i in perm]
+        first = DiscreteDistribution(tuple(points), probs)
+        second = DiscreteDistribution(listed if data.draw(st.booleans()) else np.array(listed), probs[perm])
+        for dist in (first, second):
+            assert {type(c) for p in dist.points for c in p} == {int}
+            assert list(dist.points) == sorted(points)
+        assert first._rows.tobytes() == second._rows.tobytes()
+        assert first.probs.tobytes() == second.probs.tobytes()
+        assert repr(first.points) == repr(second.points)
 
     def test_sorted_rows_equal_tuple_constructor_on_sample_support(self):
         spec = gaussian_spec(1 / 16, grid_radius=6 / 16)
         dist = sample(spec, B_ACCEPT, Fraction(1, 8), shots=0, seed=1).distribution
         rows = np.array(dist.points, dtype=np.int64)
-        for got in (dist, DiscreteDistribution.from_sorted_rows(rows, dist.probs)):
+        shuffled = np.random.default_rng(2).permutation(len(rows))
+        for got in (dist, DiscreteDistribution(rows[shuffled], dist.probs[shuffled])):
             want = DiscreteDistribution(tuple(map(tuple, rows.tolist())), dist.probs)
             assert repr(got.points) == repr(want.points)  # Python ints, not numpy scalars
             assert got.probs.tobytes() == want.probs.tobytes()
